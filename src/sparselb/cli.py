@@ -89,7 +89,7 @@ def cmd_evaluate(args) -> int:
                 if args.trace and args.out:
                     os.makedirs(args.out, exist_ok=True)
                     trace_path = os.path.join(
-                        args.out, f"trace_{tkey}_{pspec if isinstance(pspec, str) else pspec['kind']}_{dt}.jsonl")
+                        args.out, f"trace_{tkey}_{policy_key(pspec)}_{dt}.jsonl")
                 cell = evaluate(topo, pspec, float(dt), cfg, tkey, trace_path)
                 cells.append(cell)
                 print(f"{cell.topology:24s} {cell.policy:10s} dt={cell.delta_t:<5g} "
@@ -128,10 +128,13 @@ def cmd_train(args) -> int:
     if args.iterations is not None:
         overrides["epochs" if method == "ppo" else "iterations"] = args.iterations
     if method == "ppo":
+        # --workers wins over the trainer block, which wins over the top level
+        if args.workers is not None:
+            overrides["workers"] = args.workers
+        else:
+            overrides.setdefault("workers", cfg.workers)
         tc = TrainerConfig(**{k: tuple(v) if k == "hidden" else v
                               for k, v in overrides.items()})
-        if cfg.workers:
-            tc.workers = cfg.workers
         best, curve = train(topo, cfg.params, delta_t, cfg.horizon, tc,
                             cfg.seed, out_dir=args.out)
     else:

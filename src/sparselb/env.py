@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import build_generator, effective_rates, expected_drops
+from .kernel import effective_rates, expected_drops_table
 from .simulator import (DecisionProfile, SystemParams, empirical_distribution,
                         init_queues, run_epoch)
 from .traffic import regime_init, regime_step
@@ -131,18 +131,14 @@ class LoadBalanceEnv:
 
     def _expected_epoch_drops(self, profile: DecisionProfile) -> float:
         # variance-reduced reward: conditional expectation given the
-        # epoch-start configuration, from the per-queue transition kernel
+        # epoch-start configuration, from the per-queue transition kernel;
+        # one row of the drop table covers every start state of a rate pair
         rates = effective_rates(self.topology, profile.offload, self.regime.rate)
-        b, dt = self.params.buffer, self.delta_t
-        cache: dict = {}
-        total = 0.0
-        for lam, mu, z in zip(rates, self._mu, self.queues):
-            key = (float(lam), float(mu), int(z))
-            if key not in cache:
-                kern = build_generator(lam, mu, b, dt)
-                cache[key] = expected_drops(kern, int(z))
-            total += cache[key]
-        return total
+        pairs, inv = np.unique(np.column_stack([rates, self._mu]), axis=0,
+                               return_inverse=True)
+        table = expected_drops_table(pairs[:, 0], pairs[:, 1], self.params.buffer,
+                                     self.delta_t)
+        return float(table[inv.reshape(-1), self.queues].sum())
 
 
 def discounted_return(rewards, gamma: float) -> float:

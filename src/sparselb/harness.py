@@ -39,6 +39,12 @@ __all__ = [
 ]
 
 
+# top-level keys of a config file; "trainer" is read by the train command
+_CONFIG_KEYS = frozenset((
+    "topologies", "topology", "policies", "delta_ts", "episodes", "horizon",
+    "seed", "workers", "engine", "record_trace", "params", "trainer"))
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of a sweep, loadable from JSON."""
@@ -56,6 +62,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        unknown = sorted(set(doc) - _CONFIG_KEYS)
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(map(repr, unknown))}")
         doc = dict(doc)
         p = doc.pop("params", {})
         if "service_rate" in p and isinstance(p["service_rate"], list):

@@ -4,8 +4,8 @@ With decision rules frozen for an epoch, each queue evolves as an
 independent birth-death chain on {0, ..., B}: packets arrive at the queue's
 effective rate and leave at its service rate.  This module builds the
 generator of that chain, computes the exact epoch transition law through
-the matrix exponential, and computes the expected number of dropped
-packets via an augmented absorbing counter state.
+the matrix exponential (scipy.linalg.expm), and computes the expected
+number of dropped packets via an augmented absorbing counter state.
 
 Conventions: generators are column-oriented, Q[i, j] is the rate from
 state j to state i, so columns sum to zero and the epoch law is
@@ -13,10 +13,10 @@ exp(Q * dt) applied to a basis vector.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 __all__ = [
     "effective_rates",
@@ -24,7 +24,7 @@ __all__ = [
     "build_generator",
     "epoch_law",
     "expected_drops",
-    "matrix_exponential",
+    "expected_drops_table",
 ]
 
 
@@ -83,33 +83,46 @@ class EpochKernel:
     augmented: np.ndarray
 
 
-def build_generator(arrival_rate: float, service_rate: float, buffer: int,
-                    epoch_length: float = 1.0) -> EpochKernel:
-    if arrival_rate < 0.0 or service_rate < 0.0:
+def _augmented_generators(arrival_rates, service_rates, buffer: int,
+                          epoch_length: float) -> np.ndarray:
+    """Stacked augmented generators, shape (k, B+2, B+2), one per rate pair.
+
+    The leading (B+1)x(B+1) block of each slice is the birth-death
+    generator; the last row is the absorbing drop counter.  The epoch
+    length is only validated here; callers scale by it.
+    """
+    lam = np.asarray(arrival_rates, dtype=np.float64).reshape(-1)
+    mu = np.asarray(service_rates, dtype=np.float64).reshape(-1)
+    if lam.shape != mu.shape:
+        raise ValueError("arrival and service rates must pair up")
+    if not (np.all(lam >= 0.0) and np.all(mu >= 0.0)):
         raise ValueError("rates must be nonnegative")
     if buffer < 1:
         raise ValueError("buffer must be >= 1")
-    if epoch_length <= 0.0:
+    if not epoch_length > 0.0:
         raise ValueError("epoch_length must be positive")
     m = buffer + 1
-    q = np.zeros((m, m))
-    for k in range(buffer):
-        q[k + 1, k] += arrival_rate        # arrival while space remains
-        q[k, k + 1] += service_rate        # service while nonempty
-    np.fill_diagonal(q, 0.0)
-    q[np.diag_indices(m)] = -q.sum(axis=0)
+    fill = np.arange(buffer)
+    aug = np.zeros((lam.size, m + 1, m + 1))
+    aug[:, fill + 1, fill] = lam[:, None]     # arrival while space remains
+    aug[:, fill, fill + 1] = mu[:, None]      # service while nonempty
+    diag = np.arange(m)
+    aug[:, diag, diag] = -aug[:, :m, :m].sum(axis=1)
+    aug[:, m, buffer] = lam                   # arrivals seen by a full queue
+    return aug
 
-    aug = np.zeros((m + 1, m + 1))
-    aug[:m, :m] = q
-    aug[m, buffer] = arrival_rate          # arrivals seen by a full queue
+
+def build_generator(arrival_rate: float, service_rate: float, buffer: int,
+                    epoch_length: float = 1.0) -> EpochKernel:
+    aug = _augmented_generators(arrival_rate, service_rate, buffer, epoch_length)[0]
+    q = aug[:-1, :-1].copy()
     return EpochKernel(arrival_rate, service_rate, buffer, epoch_length, q, aug)
 
 
 def epoch_law(kernel: EpochKernel, start_state: int) -> np.ndarray:
     """Distribution of the queue length after one epoch from start_state."""
     _check_state(kernel, start_state)
-    p = _expm_uniformization(kernel.generator, kernel.epoch_length)
-    return p[:, start_state].copy()
+    return expm(kernel.generator * kernel.epoch_length)[:, start_state].copy()
 
 
 def expected_drops(kernel: EpochKernel, start_state: int) -> float:
@@ -120,89 +133,22 @@ def expected_drops(kernel: EpochKernel, start_state: int) -> float:
     matrix exponential.
     """
     _check_state(kernel, start_state)
-    p = _expm_scaling_squaring(kernel.augmented * kernel.epoch_length)
+    p = expm(kernel.augmented * kernel.epoch_length)
     return float(p[kernel.buffer + 1, start_state])
+
+
+def expected_drops_table(arrival_rates, service_rates, buffer: int,
+                         epoch_length: float) -> np.ndarray:
+    """Expected drops over one epoch, shape (k, B+1).
+
+    Row i holds the expected drop count from every start state for the
+    pair (arrival_rates[i], service_rates[i]); one stacked exponential
+    covers all pairs.
+    """
+    aug = _augmented_generators(arrival_rates, service_rates, buffer, epoch_length)
+    return expm(aug * epoch_length)[:, buffer + 1, :buffer + 1]
 
 
 def _check_state(kernel: EpochKernel, start_state: int) -> None:
     if not (0 <= start_state <= kernel.buffer):
         raise ValueError("start_state outside {0, ..., buffer}")
-
-
-# ---- matrix exponentials ----
-
-
-def matrix_exponential(m, t: float = 1.0) -> np.ndarray:
-    """exp(m * t); uniformization for proper generators, series otherwise.
-
-    A proper (column) generator has nonnegative off-diagonal entries and
-    zero column sums; uniformization preserves nonnegativity and column
-    sums exactly up to the truncated tail.  Any other matrix goes through
-    scaling and squaring of the Taylor series.
-    """
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    if _is_generator(a):
-        return _expm_uniformization(a, t)
-    return _expm_scaling_squaring(a * t)
-
-
-def _is_generator(a: np.ndarray) -> bool:
-    off = a - np.diag(np.diag(a))
-    if np.any(off < -1e-12):
-        return False
-    col = a.sum(axis=0)
-    scale = max(1.0, float(np.abs(a).max()))
-    return bool(np.all(np.abs(col) <= 1e-9 * scale))
-
-
-def _expm_uniformization(q: np.ndarray, t: float) -> np.ndarray:
-    """Poisson-weighted power series on the uniformized transition matrix.
-
-    Truncated where the Poisson(r*t) tail drops below 1e-12.  Falls back to
-    scaling and squaring when r*t is large enough to underflow the weights.
-    """
-    n = q.shape[0]
-    rate = float(-q.diagonal().min())
-    rt = rate * t
-    if rt == 0.0:
-        return np.eye(n)
-    if rt > 200.0:
-        return _expm_scaling_squaring(q * t)
-    p = np.eye(n) + q / rate
-    out = np.zeros_like(q)
-    term = np.eye(n)
-    weight = math.exp(-rt)
-    acc = weight
-    out += weight * term
-    k = 0
-    while 1.0 - acc > 1e-12:
-        k += 1
-        term = p @ term
-        weight *= rt / k
-        acc += weight
-        out += weight * term
-        if k > 10_000:
-            raise RuntimeError("uniformization failed to converge")
-    return out
-
-
-def _expm_scaling_squaring(a: np.ndarray) -> np.ndarray:
-    """Taylor series after halving the matrix below unit norm, then squaring."""
-    n = a.shape[0]
-    norm = float(np.linalg.norm(a, 1))
-    squarings = max(0, int(math.ceil(math.log2(norm)))) if norm > 1.0 else 0
-    b = a / (2.0 ** squarings)
-    out = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, 60):
-        term = term @ b / k
-        out += term
-        if float(np.abs(term).max()) < 1e-16 * max(1.0, float(np.abs(out).max())):
-            break
-    for _ in range(squarings):
-        out = out @ out
-    return out

@@ -66,31 +66,6 @@ class Topology:
         return d
 
     @cached_property
-    def nbr_flat(self) -> np.ndarray:
-        """Concatenated neighbor lists (CSR values), sorted within each node."""
-        if self.n_nodes == 0:
-            return np.empty(0, dtype=np.int64)
-        flat = np.concatenate([np.asarray(nb, dtype=np.int64) for nb in self.neighbors]) \
-            if any(len(nb) for nb in self.neighbors) else np.empty(0, dtype=np.int64)
-        flat.setflags(write=False)
-        return flat
-
-    @cached_property
-    def nbr_offsets(self) -> np.ndarray:
-        """CSR offsets: neighbors of i are nbr_flat[offsets[i]:offsets[i+1]]."""
-        off = np.zeros(self.n_nodes + 1, dtype=np.int64)
-        np.cumsum(self.degrees, out=off[1:])
-        off.setflags(write=False)
-        return off
-
-    @cached_property
-    def edge_src(self) -> np.ndarray:
-        """Source node of every directed edge, aligned with nbr_flat."""
-        src = np.repeat(np.arange(self.n_nodes, dtype=np.int64), self.degrees)
-        src.setflags(write=False)
-        return src
-
-    @cached_property
     def max_degree(self) -> int:
         return int(self.degrees.max()) if self.n_nodes else 0
 

@@ -71,7 +71,6 @@ class CemConfig:
     init_std: float = 0.5
     noise: float = 0.25
     noise_decay: float = 0.9
-    workers: int = 1
     observation_mode: str = "global"
     observe_rate: bool = False
 

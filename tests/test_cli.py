@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 
+from sparselb import cli
 from sparselb.cli import main
 from sparselb.nn import load_policy_parameters, policy_zeta
 from sparselb.topology import load_edge_list
@@ -167,3 +168,36 @@ def test_evaluate_policy_flag_selects_configured_spec(tmp_path, capsys):
     assert main(["evaluate", "--config", cfg2, "--policy", "learned"]) == 0
     out = capsys.readouterr().out
     assert "learned" in out and "own" not in out
+
+
+def test_evaluate_trace_per_named_policy(tmp_path, capsys):
+    # two named specs of the same kind must not share a trace file
+    doc = dict(SMALL)
+    doc["policies"] = [{"kind": "static", "zeta": [0.0] * 6, "name": "keep"},
+                       {"kind": "static", "zeta": [1.0] * 6, "name": "push"}]
+    cfg = write_cfg(tmp_path, doc)
+    out_dir = tmp_path / "out"
+    assert main(["evaluate", "--config", cfg, "--trace", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in out_dir.glob("trace_*.jsonl"))
+    assert names == ["trace_cyc1d[n=9]_keep_1.0.jsonl", "trace_cyc1d[n=9]_push_1.0.jsonl"]
+
+
+def test_train_workers_precedence(tmp_path, monkeypatch, capsys):
+    # --workers, then the trainer block, then the top-level key
+    seen = []
+
+    def fake_train(topo, params, delta_t, horizon, tc, seed, out_dir=None):
+        seen.append(tc.workers)
+        return None, []
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    block = write_cfg(tmp_path, {**SMALL, "trainer": {"workers": 2}})
+    assert main(["train", "--config", block, "--method", "ppo"]) == 0
+    assert main(["train", "--config", block, "--method", "ppo", "--workers", "3"]) == 0
+    top = write_cfg(tmp_path, {**SMALL, "workers": 4, "trainer": {}})
+    assert main(["train", "--config", top, "--method", "ppo"]) == 0
+    bare = write_cfg(tmp_path, SMALL)
+    assert main(["train", "--config", bare, "--method", "ppo"]) == 0
+    capsys.readouterr()
+    assert seen == [2, 3, 4, 1]

@@ -128,23 +128,27 @@ def test_expected_reward_mode():
     from sparselb.kernel import build_generator, effective_rates, expected_drops
 
     topo = build_cyc1d(9)
-    params = SystemParams()
-    env = make_env(reward_mode="expected")
-    env.reset(seed=21)
-    realized = make_env()
-    realized.reset(seed=21)
-    zeta = np.full(6, 0.4)
-    for _ in range(4):
-        q0 = env.queues.copy()
-        rate = env.regime.rate
-        tr = env.step(zeta)
-        rates = effective_rates(topo, zeta[q0], rate)
-        want = sum(expected_drops(build_generator(r, 1.0, 5, 2.0), int(z))
-                   for r, z in zip(rates, q0))
-        assert tr.reward == pytest.approx(-want / 9.0, rel=1e-12)
-        # the reward computation consumes no randomness
-        tr_r = realized.step(zeta)
-        assert np.array_equal(tr.next_observation, tr_r.next_observation)
+    # per-queue service rates, some repeated, and a fill-dependent table so
+    # that queues share (arrival, service) pairs only where both rates agree
+    mu = (1.0, 1.0, 0.8, 1.2, 1.0, 0.8, 1.0, 1.2, 1.0)
+    for params, zeta in ((SystemParams(), np.full(6, 0.4)),
+                         (SystemParams(service_rate=mu), np.linspace(0.0, 0.8, 6))):
+        service = params.service_rates(9)
+        env = make_env(params=params, reward_mode="expected")
+        env.reset(seed=21)
+        realized = make_env(params=params)
+        realized.reset(seed=21)
+        for _ in range(4):
+            q0 = env.queues.copy()
+            rate = env.regime.rate
+            tr = env.step(zeta)
+            rates = effective_rates(topo, zeta[q0], rate)
+            want = sum(expected_drops(build_generator(r, m, 5, 2.0), int(z))
+                       for r, m, z in zip(rates, service, q0))
+            assert tr.reward == pytest.approx(-want / 9.0, rel=1e-12)
+            # the reward computation consumes no randomness
+            tr_r = realized.step(zeta)
+            assert np.array_equal(tr.next_observation, tr_r.next_observation)
     with pytest.raises(ValueError):
         make_env(reward_mode="sampled")
 

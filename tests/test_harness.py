@@ -187,6 +187,21 @@ def test_config_from_json(tmp_path):
     assert len(cells) == 1
 
 
+def test_config_rejects_unknown_keys():
+    # a typo must fail loudly rather than run the default episode count
+    with pytest.raises(ValueError, match="'episode'"):
+        ExperimentConfig.from_dict({"episode": 5})
+    with pytest.raises(ValueError, match="'polices'"):
+        ExperimentConfig.from_dict({"episodes": 5, "polices": ["own"]})
+    # every documented key is accepted, the train command's block included
+    cfg = ExperimentConfig.from_dict({
+        "topologies": [{"family": "cyc1d", "n": 9}], "policies": ["own"],
+        "delta_ts": [1.0], "episodes": 2, "horizon": 3, "seed": 1,
+        "workers": 1, "engine": "bank", "record_trace": False,
+        "params": {"buffer": 3}, "trainer": {"epochs": 1}})
+    assert cfg.episodes == 2 and cfg.params.buffer == 3
+
+
 def test_trace_written_when_requested(tmp_path):
     cfg = small_cfg(episodes=2, record_trace=True)
     topo = build_cyc1d(9)

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm as scipy_expm
 
 from sparselb.kernel import (EpochKernel, build_generator, effective_rates,
-                             epoch_law, expected_drops, matrix_exponential)
+                             epoch_law, expected_drops, expected_drops_table)
 from sparselb.topology import build_bethe, build_ccc, build_config_model, \
     build_cyc1d, build_torus, from_edges
 
@@ -177,39 +177,33 @@ def test_expected_drops_state_validation():
         epoch_law(k, -1)
 
 
-def test_matrix_exponential_identity_at_zero():
-    q = build_generator(0.9, 1.0, 2).generator
-    assert np.array_equal(matrix_exponential(q, 0.0), np.eye(3))
+def test_expected_drops_table_matches_scalar():
+    # every row of the stacked table equals the scalar kernel, start state
+    # by start state, including rate pairs with no arrivals or no service
+    rng = np.random.default_rng(8)
+    for _ in range(12):
+        b = int(rng.integers(1, 8))
+        dt = float(rng.uniform(0.1, 10.0))
+        lam = rng.uniform(0.0, 2.0, 6)
+        mu = rng.uniform(0.0, 2.0, 6)
+        lam[0], mu[1], lam[2], mu[2] = 0.0, 0.0, 0.0, 0.0
+        table = expected_drops_table(lam, mu, b, dt)
+        assert table.shape == (6, b + 1)
+        for i in range(6):
+            kern = build_generator(lam[i], mu[i], b, dt)
+            for z in range(b + 1):
+                assert table[i, z] == pytest.approx(expected_drops(kern, z), rel=1e-12)
 
 
-def test_matrix_exponential_generator_vs_scipy():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        n = int(rng.integers(2, 9))
-        q = rng.random((n, n)) * 2.0
-        np.fill_diagonal(q, 0.0)
-        q[np.diag_indices(n)] = -q.sum(axis=0)
-        t = float(rng.random() * 5.0)
-        got = matrix_exponential(q, t)
-        assert np.abs(got - scipy_expm(q * t)).max() < 1e-10
-        assert np.allclose(got.sum(axis=0), 1.0, atol=1e-10)
-        assert np.all(got >= -1e-15)
-
-
-def test_matrix_exponential_general_vs_scipy():
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        n = int(rng.integers(2, 9))
-        a = rng.standard_normal((n, n))
-        t = float(rng.random() * 3.0)
-        assert np.abs(matrix_exponential(a, t) - scipy_expm(a * t)).max() < 1e-10
-
-
-def test_matrix_exponential_validation():
+def test_expected_drops_table_validation():
     with pytest.raises(ValueError):
-        matrix_exponential(np.array([[1.0, np.inf], [0.0, 1.0]]))
+        expected_drops_table([0.5, -0.1], [1.0, 1.0], 2, 1.0)
     with pytest.raises(ValueError):
-        matrix_exponential(np.ones((2, 3)))
+        expected_drops_table([0.5, 0.5], [1.0], 2, 1.0)
+    with pytest.raises(ValueError):
+        expected_drops_table([0.5], [1.0], 0, 1.0)
+    with pytest.raises(ValueError):
+        expected_drops_table([0.5], [1.0], 2, 0.0)
 
 
 def test_kernel_dataclass_fields():
