@@ -9,13 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from dataclasses import fields
 
 from .harness import (ExperimentConfig, bethe_ablation, build_topology,
-                      compare_ranking, evaluate, policy_key, sweep,
-                      topology_key, write_results)
-from .simulator import SystemParams
+                      compare_ranking, policy_key, sweep, topology_key)
 from .topology import save_edge_list
 from .trainer import CemConfig, TrainerConfig, cem_train, train
 
@@ -79,30 +77,11 @@ def cmd_evaluate(args) -> int:
         cfg.policies = matches if matches else [args.policy]
     if args.trace:
         cfg.record_trace = True
-    cells = []
-    for tspec in cfg.topologies:
-        tkey = topology_key(tspec)
-        topo = build_topology(tspec, cfg.seed)
-        for pspec in cfg.policies:
-            for dt in cfg.delta_ts:
-                trace_path = None
-                if args.trace and args.out:
-                    os.makedirs(args.out, exist_ok=True)
-                    trace_path = os.path.join(
-                        args.out, f"trace_{tkey}_{policy_key(pspec)}_{dt}.jsonl")
-                cell = evaluate(topo, pspec, float(dt), cfg, tkey, trace_path)
-                cells.append(cell)
-                print(f"{cell.topology:24s} {cell.policy:10s} dt={cell.delta_t:<5g} "
-                      f"drops={cell.mean_drops:.4f} +/- {cell.ci95:.4f} "
-                      f"({cell.episodes} episodes)")
-    if args.out:
-        write_results(cells, args.out, include_timing=args.timing)
-        print(f"results written to {args.out}")
-    return 0
+    return cmd_sweep(args, cfg)
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
+def cmd_sweep(args, cfg: ExperimentConfig | None = None) -> int:
+    cfg = _load_config(args) if cfg is None else cfg
     cells = sweep(cfg, out_dir=args.out, include_timing=args.timing)
     for cell in cells:
         print(f"{cell.topology:24s} {cell.policy:10s} dt={cell.delta_t:<5g} "
@@ -125,6 +104,11 @@ def cmd_train(args) -> int:
     method = args.method or overrides.pop("method", "ppo")
     if method not in ("ppo", "cem"):
         raise SystemExit(f"unknown training method {method!r}")
+    known = {f.name for f in fields(TrainerConfig if method == "ppo" else CemConfig)}
+    unknown = sorted(set(overrides) - known)
+    if unknown:
+        raise SystemExit(f"unknown trainer keys for method {method!r}: "
+                         + ", ".join(map(repr, unknown)))
     if args.iterations is not None:
         overrides["epochs" if method == "ppo" else "iterations"] = args.iterations
     if method == "ppo":
@@ -155,16 +139,15 @@ def cmd_compare(args) -> int:
     cfg = _load_config(args)
     if args.delta_t is not None:
         cfg.delta_ts = [args.delta_t]
-    for tspec in cfg.topologies:
-        tkey = topology_key(tspec)
-        topo = build_topology(tspec, cfg.seed)
-        for dt in cfg.delta_ts:
-            cells = [evaluate(topo, p, float(dt), cfg, tkey) for p in cfg.policies]
-            ranking = compare_ranking(cells)
-            print(f"{tkey} dt={dt}: " + " < ".join(ranking["ranking"]))
-            for pair in ranking["pairs"]:
-                tag = "separated" if pair["separated"] else "overlapping"
-                print(f"  {pair['low']} vs {pair['high']}: {tag}")
+    groups: dict = {}
+    for cell in sweep(cfg):
+        groups.setdefault((cell.topology, cell.delta_t), []).append(cell)
+    for (tkey, dt), cells in groups.items():
+        ranking = compare_ranking(cells)
+        print(f"{tkey} dt={dt}: " + " < ".join(ranking["ranking"]))
+        for pair in ranking["pairs"]:
+            tag = "separated" if pair["separated"] else "overlapping"
+            print(f"  {pair['low']} vs {pair['high']}: {tag}")
     return 0
 
 

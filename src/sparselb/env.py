@@ -15,11 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import effective_rates, expected_drops_table
-from .simulator import (DecisionProfile, SystemParams, empirical_distribution,
-                        init_queues, run_epoch)
-from .traffic import regime_init, regime_step
+from .simulator import DecisionProfile, Episode, SystemParams, empirical_distribution
 
-__all__ = ["McTransition", "LoadBalanceEnv", "discounted_return"]
+__all__ = ["McTransition", "LoadBalanceEnv"]
 
 
 @dataclass(frozen=True)
@@ -30,15 +28,14 @@ class McTransition:
     next_observation: np.ndarray
 
 
-class LoadBalanceEnv:
+class LoadBalanceEnv(Episode):
     """Finite-horizon epoch-level control of the load-balancing network."""
 
     def __init__(self, topology, params: SystemParams, delta_t: float,
                  horizon: int, observation_mode: str = "global",
-                 designated_agent: int = 0, engine: str = "bank",
-                 observe_rate: bool = False, reward_mode: str = "realized"):
-        if delta_t <= 0:
-            raise ValueError("delta_t must be positive")
+                 designated_agent: int = 0, observe_rate: bool = False,
+                 reward_mode: str = "realized"):
+        super().__init__(topology, params, delta_t)
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         if observation_mode not in ("global", "neighborhood", "ownstate"):
@@ -47,20 +44,11 @@ class LoadBalanceEnv:
             raise ValueError(f"unknown reward_mode {reward_mode!r}")
         if not (0 <= designated_agent < topology.n_nodes):
             raise ValueError("designated_agent out of range")
-        self.topology = topology
-        self.params = params
-        self.delta_t = float(delta_t)
         self.horizon = int(horizon)
         self.observation_mode = observation_mode
         self.designated_agent = designated_agent
-        self.engine = engine
         self.observe_rate = observe_rate
         self.reward_mode = reward_mode
-        self._mu = params.service_rates(topology.n_nodes)
-        self._rng = None
-        self.queues = None
-        self.regime = None
-        self.epoch_index = 0
 
     # ---- observation ----
 
@@ -90,18 +78,12 @@ class LoadBalanceEnv:
 
     @property
     def done(self) -> bool:
-        return self.epoch_index >= self.horizon
+        return self.epoch >= self.horizon
 
     # ---- dynamics ----
 
     def reset(self, seed) -> np.ndarray:
-        self._rng = seed if isinstance(seed, np.random.Generator) \
-            else np.random.default_rng(seed)
-        self.queues = init_queues(self.params, self.topology.n_nodes, self._rng)
-        self.regime = regime_init(self.params.rate_high, self.params.rate_low,
-                                  self.params.p_high_to_low, self.params.p_low_to_high,
-                                  self._rng)
-        self.epoch_index = 0
+        super().reset(seed)
         return self.observation()
 
     def step(self, zeta) -> McTransition:
@@ -119,14 +101,9 @@ class LoadBalanceEnv:
         profile = DecisionProfile(offload=zeta[self.queues])
         if self.reward_mode == "expected":
             reward = -self._expected_epoch_drops(profile) / self.topology.n_nodes
-        out = run_epoch(self.queues, profile, self.topology, self.regime.rate,
-                        self._mu, self.params.buffer, self.delta_t, self._rng,
-                        self.engine)
+        out = self.advance(profile)
         if self.reward_mode == "realized":
             reward = -float(out.drops.sum()) / self.topology.n_nodes
-        self.queues = out.next_queues
-        self.regime = regime_step(self.regime, self._rng)
-        self.epoch_index += 1
         return McTransition(obs, zeta, reward, self.observation())
 
     def _expected_epoch_drops(self, profile: DecisionProfile) -> float:
@@ -134,16 +111,9 @@ class LoadBalanceEnv:
         # epoch-start configuration, from the per-queue transition kernel;
         # one row of the drop table covers every start state of a rate pair
         rates = effective_rates(self.topology, profile.offload, self.regime.rate)
-        pairs, inv = np.unique(np.column_stack([rates, self._mu]), axis=0,
+        pairs, inv = np.unique(np.column_stack([rates, self.service_rates]), axis=0,
                                return_inverse=True)
         table = expected_drops_table(pairs[:, 0], pairs[:, 1], self.params.buffer,
                                      self.delta_t)
         return float(table[inv.reshape(-1), self.queues].sum())
 
-
-def discounted_return(rewards, gamma: float) -> float:
-    """Sum of gamma**t * reward_t."""
-    total = 0.0
-    for r in reversed(np.asarray(rewards, dtype=np.float64)):
-        total = r + gamma * total
-    return float(total)

@@ -196,14 +196,24 @@ def _student_t_ci(x: np.ndarray, level: float = 0.95) -> tuple:
 
 
 def sweep(cfg: ExperimentConfig, out_dir=None, include_timing: bool = False) -> list:
-    """Full factorial over topologies x policies x delta_ts."""
+    """Full factorial over topologies x policies x delta_ts.
+
+    With ``cfg.record_trace`` and an output directory, every cell's
+    per-epoch rows go to ``trace_<topology>_<policy>_<delta_t>.jsonl`` there.
+    """
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     cells = []
     for tspec in cfg.topologies:
         tkey = topology_key(tspec)
         topo = build_topology(tspec, cfg.seed)
         for pspec in cfg.policies:
             for dt in cfg.delta_ts:
-                cells.append(evaluate(topo, pspec, float(dt), cfg, tkey))
+                trace_path = None
+                if cfg.record_trace and out_dir is not None:
+                    trace_path = os.path.join(
+                        out_dir, f"trace_{tkey}_{policy_key(pspec)}_{dt}.jsonl")
+                cells.append(evaluate(topo, pspec, float(dt), cfg, tkey, trace_path))
     if out_dir is not None:
         write_results(cells, out_dir, include_timing=include_timing)
     return cells

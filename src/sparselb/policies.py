@@ -188,6 +188,11 @@ class MfrPolicy:
     """
 
     def __init__(self, params: PolicyParameters, name: str = "mfr"):
+        if params.layer_sizes[0] != params.buffer + 1:
+            raise ValueError(
+                f"policy network takes {params.layer_sizes[0]} inputs but MfrPolicy "
+                f"feeds {params.buffer + 1} fill fractions; networks trained with "
+                "observe_rate=True also read the arrival rate and cannot run here")
         self.params = params
         self.name = name
 

@@ -34,6 +34,7 @@ __all__ = [
     "empirical_distribution",
     "simulate_queue_bank",
     "run_epoch",
+    "Episode",
     "run_episode",
 ]
 
@@ -255,46 +256,81 @@ def init_queues(params: SystemParams, n: int, rng: np.random.Generator) -> np.nd
     return rng.choice(params.buffer + 1, size=n, p=nu).astype(np.int64)
 
 
+class Episode:
+    """The state and random stream of one episode, advanced epoch by epoch.
+
+    ``reset`` draws the start queues and then the initial arrival phase;
+    ``advance`` runs one epoch under a frozen profile and then redraws the
+    phase.  ``run_episode`` and the control environment both step this
+    class, so one seed gives one trajectory whichever of them drives it.
+    """
+
+    def __init__(self, topology, params: SystemParams, delta_t: float,
+                 engine: str = "bank"):
+        if delta_t <= 0:
+            raise ValueError("delta_t must be positive")
+        self.topology = topology
+        self.params = params
+        self.delta_t = float(delta_t)
+        self.engine = engine
+        self.service_rates = params.service_rates(topology.n_nodes)
+        self.rng = None
+        self.queues = None
+        self.regime = None
+        self.epoch = 0
+
+    def reset(self, seed) -> None:
+        """Start a new episode from an int seed or a Generator."""
+        p = self.params
+        self.rng = seed if isinstance(seed, np.random.Generator) \
+            else np.random.default_rng(seed)
+        self.queues = init_queues(p, self.topology.n_nodes, self.rng)
+        self.regime = regime_init(p.rate_high, p.rate_low, p.p_high_to_low,
+                                  p.p_low_to_high, self.rng)
+        self.epoch = 0
+
+    def advance(self, profile) -> EpochOutcome:
+        """Run one epoch under ``profile``, then redraw the arrival phase."""
+        out = run_epoch(self.queues, profile, self.topology, self.regime.rate,
+                        self.service_rates, self.params.buffer, self.delta_t,
+                        self.rng, self.engine)
+        self.queues = out.next_queues
+        self.regime = regime_step(self.regime, self.rng)
+        self.epoch += 1
+        return out
+
+
 def run_episode(topology, policy, horizon: int, delta_t: float,
                 params: SystemParams, seed, engine: str = "bank",
                 record_trace: bool = False) -> EpisodeResult:
     """Run one episode of ``horizon`` epochs under a fixed policy.
 
     ``policy`` supplies a frozen DecisionProfile from the queue snapshot at
-    the start of every epoch; the shared arrival phase is redrawn after
-    each epoch.  With a constant-rule policy this consumes random numbers
-    in exactly the same order as the control environment's reset/step
-    loop, so the two agree bit for bit under one seed.
+    the start of every epoch.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    ep = Episode(topology, params, delta_t, engine)
+    ep.reset(seed)
     n = topology.n_nodes
-    mu = params.service_rates(n)
-    q = init_queues(params, n, rng)
-    regime = regime_init(params.rate_high, params.rate_low,
-                         params.p_high_to_low, params.p_low_to_high, rng)
     b = params.buffer
     drop_counts = np.zeros(horizon, dtype=np.int64)
     rates = np.zeros(horizon)
     dists = np.zeros((horizon + 1, b + 1))
     trace: list = []
     for t in range(horizon):
-        dists[t] = empirical_distribution(q, b)
-        rates[t] = regime.rate
-        profile = policy.profile(q, topology, mu)
-        out = run_epoch(q, profile, topology, regime.rate, mu, b, delta_t, rng, engine)
+        dists[t] = empirical_distribution(ep.queues, b)
+        rate = rates[t] = ep.regime.rate
+        out = ep.advance(policy.profile(ep.queues, topology, ep.service_rates))
         drop_counts[t] = int(out.drops.sum())
         if record_trace:
             trace.append({
                 "epoch": t,
-                "rate": regime.rate,
+                "rate": rate,
                 "drops": int(out.drops.sum()),
                 "arrivals": int(out.arrivals.sum()),
                 "services": int(out.services.sum()),
                 "distribution": dists[t].tolist(),
             })
-        q = out.next_queues
-        regime = regime_step(regime, rng)
-    dists[horizon] = empirical_distribution(q, b)
+    dists[horizon] = empirical_distribution(ep.queues, b)
     mean_drops = drop_counts / n
     return EpisodeResult(
         drop_counts=drop_counts,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .env import LoadBalanceEnv, discounted_return
+from .env import LoadBalanceEnv
 from .nn import STD_FLOOR, Mlp, PolicyParameters, save_policy_parameters, sigmoid
 from .seeding import derive_seed
 from .simulator import SystemParams
@@ -108,18 +108,19 @@ def _make_env(topology, params, delta_t, horizon, cfg) -> LoadBalanceEnv:
                           observe_rate=cfg.observe_rate)
 
 
-def _episode_rollout(topology, params, delta_t, horizon, cfg,
-                     policy: PolicyParameters, ep_seed: int):
-    env = _make_env(topology, params, delta_t, horizon, cfg)
-    obs = env.reset(ep_seed)
-    explore = np.random.default_rng(derive_seed(ep_seed, "explore"))
-    net = policy.mlp()
-    sigma = policy.std
+def _rollout(env: LoadBalanceEnv, net: Mlp, seed, sigma=None, explore=None):
+    """Run one episode; returns (observations, actions, means, rewards).
+
+    The action is the squashed network output, plus Gaussian noise of
+    scale ``sigma`` when an ``explore`` generator is given; it is stored
+    raw and clipped into [0, 1] for the environment.
+    """
+    obs = env.reset(seed)
     obs_list, act_list, mu_list, rew_list = [], [], [], []
     while not env.done:
         out, _ = net.forward(obs)
         mu = sigmoid(out)[0]
-        raw = mu + sigma * explore.standard_normal(mu.size)
+        raw = mu if explore is None else mu + sigma * explore.standard_normal(mu.size)
         tr = env.step(np.clip(raw, 0.0, 1.0))
         obs_list.append(obs)
         act_list.append(raw)
@@ -130,8 +131,11 @@ def _episode_rollout(topology, params, delta_t, horizon, cfg,
             np.asarray(mu_list), np.asarray(rew_list))
 
 
-def _episode_job(args):
-    return _episode_rollout(*args)
+def _episode_rollout(job):
+    topology, params, delta_t, horizon, cfg, policy, ep_seed = job
+    env = _make_env(topology, params, delta_t, horizon, cfg)
+    explore = np.random.default_rng(derive_seed(ep_seed, "explore"))
+    return _rollout(env, policy.mlp(), ep_seed, policy.std, explore)
 
 
 def collect_batch(topology, params: SystemParams, delta_t: float, horizon: int,
@@ -147,9 +151,9 @@ def collect_batch(topology, params: SystemParams, delta_t: float, horizon: int,
              derive_seed(seed, "episode", e)) for e in range(episodes)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rolls = list(pool.map(_episode_job, jobs))
+            rolls = list(pool.map(_episode_rollout, jobs))
     else:
-        rolls = [_episode_rollout(*j) for j in jobs]
+        rolls = [_episode_rollout(j) for j in jobs]
     starts = np.cumsum([0] + [r[0].shape[0] for r in rolls[:-1]])
     obs = np.concatenate([r[0] for r in rolls])
     actions = np.concatenate([r[1] for r in rolls])
@@ -357,23 +361,12 @@ def ppo_update(state: TrainState, batch: RolloutBatch, cfg: TrainerConfig,
 
 def evaluate_params(topology, params: SystemParams, delta_t: float, horizon: int,
                     policy: PolicyParameters, seeds, observation_mode: str = "global",
-                    observe_rate: bool = False, gamma: float | None = None) -> float:
+                    observe_rate: bool = False) -> float:
     """Mean episode return of the deterministic policy over the given seeds."""
     env = LoadBalanceEnv(topology, params, delta_t, horizon,
                          observation_mode=observation_mode, observe_rate=observe_rate)
     net = policy.mlp()
-    totals = []
-    for s in seeds:
-        obs = env.reset(s)
-        rewards = []
-        while not env.done:
-            zeta = sigmoid(net.forward(obs)[0])[0]
-            tr = env.step(zeta)
-            rewards.append(tr.reward)
-            obs = tr.next_observation
-        totals.append(discounted_return(rewards, gamma) if gamma is not None
-                      else float(np.sum(rewards)))
-    return float(np.mean(totals))
+    return float(np.mean([_rollout(env, net, s)[3].sum() for s in seeds]))
 
 
 # ---- drivers ----
@@ -445,9 +438,7 @@ def cem_train(topology, params: SystemParams, delta_t: float, horizon: int,
     iterations.  Returns (best parameters, curve rows).
     """
     rng = np.random.default_rng(derive_seed(seed, "cem"))
-    env_probe = LoadBalanceEnv(topology, params, delta_t, horizon,
-                               observation_mode=cfg.observation_mode,
-                               observe_rate=cfg.observe_rate)
+    env_probe = _make_env(topology, params, delta_t, horizon, cfg)
     template = PolicyParameters.init(params.buffer, cfg.hidden, rng,
                                      observation_mode=cfg.observation_mode,
                                      obs_dim=env_probe.observation_dim)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
 from sparselb import cli
 from sparselb.cli import main
@@ -201,3 +202,13 @@ def test_train_workers_precedence(tmp_path, monkeypatch, capsys):
     assert main(["train", "--config", bare, "--method", "ppo"]) == 0
     capsys.readouterr()
     assert seen == [2, 3, 4, 1]
+
+
+def test_train_rejects_unknown_trainer_keys(tmp_path):
+    # a typo, or a key the other method owns, is named before any training
+    typo = write_cfg(tmp_path, {**SMALL, "trainer": {"epoch": 1}})
+    with pytest.raises(SystemExit, match="'ppo'.*'epoch'"):
+        main(["train", "--config", typo, "--method", "ppo"])
+    other = write_cfg(tmp_path, {**SMALL, "trainer": {"workers": 2, "iterations": 1}})
+    with pytest.raises(SystemExit, match="'cem'.*'workers'"):
+        main(["train", "--config", other, "--method", "cem"])

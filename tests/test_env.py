@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sparselb.env import LoadBalanceEnv, discounted_return
+from sparselb.env import LoadBalanceEnv
 from sparselb.policies import StaticZetaPolicy, threshold_zeta
 from sparselb.simulator import SystemParams, run_episode
 from sparselb.topology import build_cyc1d
@@ -152,9 +152,3 @@ def test_expected_reward_mode():
     with pytest.raises(ValueError):
         make_env(reward_mode="sampled")
 
-
-def test_discounted_return():
-    rewards = np.array([-1.0, -1.0, -1.0])
-    assert discounted_return(rewards, 0.99) == pytest.approx(-2.9701)
-    assert discounted_return(rewards, 1.0) == pytest.approx(-3.0)
-    assert discounted_return(np.array([]), 0.9) == 0.0

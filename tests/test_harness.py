@@ -213,6 +213,21 @@ def test_trace_written_when_requested(tmp_path):
     assert row["episode"] == 0 and "drops" in row
 
 
+
+def test_sweep_writes_trace_per_cell(tmp_path):
+    cfg = small_cfg(episodes=2, delta_ts=[1.0, 5.0], record_trace=True)
+    cells = sweep(cfg, out_dir=tmp_path)
+    names = sorted(p.name for p in tmp_path.glob("trace_*.jsonl"))
+    assert names == sorted(f"trace_{c.topology}_{c.policy}_{c.delta_t}.jsonl"
+                           for c in cells)
+    assert len(names) == 1 * 3 * 2
+    lines = (tmp_path / "trace_cyc1d[n=9]_rnd_5.0.jsonl").read_text().splitlines()
+    assert len(lines) == cfg.episodes * cfg.horizon
+    # without record_trace a sweep writes results only
+    plain = tmp_path / "plain"
+    sweep(small_cfg(episodes=2), out_dir=plain)
+    assert not list(plain.glob("trace_*"))
+
 def test_large_cell_completes_quickly():
     # generous wall-clock guard for the vectorized engine on a big graph
     cfg = small_cfg(topologies=[{"family": "cyc1d", "n": 901}], episodes=4,

@@ -192,6 +192,18 @@ def test_mfr_neighborhood_observations():
     assert np.allclose(obs.sum(axis=1), 1.0)
 
 
+
+def test_mfr_rejects_rate_observing_network(tmp_path):
+    # a network trained with observe_rate=True reads one input more than the
+    # fill distribution MfrPolicy builds; it must fail on load, not mid-sweep
+    params = PolicyParameters.init(5, (4,), np.random.default_rng(9), obs_dim=7)
+    with pytest.raises(ValueError, match="observe_rate"):
+        MfrPolicy(params)
+    path = tmp_path / "ckpt.json"
+    save_policy_parameters(params, path)
+    with pytest.raises(ValueError, match="observe_rate"):
+        make_policy({"kind": "mfr", "checkpoint": str(path)}, 5)
+
 def test_make_policy_dispatch():
     assert isinstance(make_policy("jsq", 5), JsqPolicy)
     assert isinstance(make_policy("sed", 5), SedPolicy)

@@ -2,17 +2,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from sparselb.kernel import build_generator, effective_rates, epoch_law, \
     expected_drops
 from sparselb.policies import OwnPolicy, RndPolicy, StaticZetaPolicy, threshold_zeta
-from sparselb.simulator import (DecisionProfile, EpochOutcome, SystemParams,
+from sparselb.simulator import (DecisionProfile, EpochOutcome, Episode, SystemParams,
                                 empirical_distribution, init_queues,
                                 profile_rates, run_epoch, run_episode,
                                 simulate_queue_bank)
 from sparselb.simulator import _gillespie_epoch
-from sparselb.topology import build_cyc1d
+from sparselb.topology import build_cyc1d, from_edges
 
 
 def test_empirical_distribution_example():
@@ -252,3 +254,57 @@ def test_init_queues_start_distribution():
     assert np.all(q == 5)
     empty = init_queues(SystemParams(), 40, np.random.default_rng(0))
     assert np.all(empty == 0)
+
+
+rates = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
+
+
+@st.composite
+def small_systems(draw):
+    """A small graph (possibly with isolated nodes), parameters and profiles."""
+    linked = draw(st.integers(0, 6))
+    n = linked + draw(st.integers(1 if linked < 2 else 0, 2))
+    pairs = [(i, j) for i in range(linked) for j in range(i + 1, linked)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    buffer = draw(st.integers(1, 6))
+    rate_high = draw(rates)
+    start = None
+    if draw(st.booleans()):
+        start = tuple(np.full(buffer + 1, 1.0 / (buffer + 1)))
+    params = SystemParams(
+        buffer=buffer,
+        service_rate=tuple(draw(st.lists(rates, min_size=n, max_size=n))),
+        rate_high=rate_high,
+        rate_low=rate_high * draw(st.floats(0.0, 1.0)),
+        p_high_to_low=draw(st.floats(0.0, 1.0)),
+        p_low_to_high=draw(st.floats(0.0, 1.0)),
+        start_distribution=start)
+    profiles = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            offload = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+            profiles.append(DecisionProfile(offload=np.asarray(offload)))
+        else:
+            targets = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+            profiles.append(DecisionProfile(targets=np.asarray(targets)))
+    return (from_edges(n, edges), params, draw(st.floats(0.05, 4.0)), profiles,
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_systems())
+def test_episode_conserves_packets_per_queue(system):
+    # every arrival at a queue is dropped, stored or served within the epoch
+    topo, params, delta_t, profiles, seed = system
+    for engine in ("bank", "reference"):
+        ep = Episode(topo, params, delta_t, engine)
+        ep.reset(seed)
+        for profile in profiles:
+            start = ep.queues.copy()
+            out = ep.advance(profile)
+            assert np.array_equal(out.arrivals,
+                                  out.drops + (out.next_queues - start) + out.services)
+            assert np.all((out.next_queues >= 0) & (out.next_queues <= params.buffer))
+            assert np.all(out.drops <= out.arrivals)
+            assert ep.queues is out.next_queues
+        assert ep.epoch == len(profiles)
