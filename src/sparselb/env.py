@@ -73,7 +73,7 @@ class LoadBalanceEnv(Episode):
                 obs = np.zeros(b + 1)
                 obs[q[self.designated_agent]] = 1.0
         if self.observe_rate:
-            obs = np.append(obs, self.regime.rate / self.params.rate_high)
+            obs = np.append(obs, self.rate / self.params.rate_high)
         return obs
 
     @property
@@ -110,7 +110,7 @@ class LoadBalanceEnv(Episode):
         # variance-reduced reward: conditional expectation given the
         # epoch-start configuration, from the per-queue transition kernel;
         # one row of the drop table covers every start state of a rate pair
-        rates = effective_rates(self.topology, profile.offload, self.regime.rate)
+        rates = effective_rates(self.topology, profile.offload, self.rate)
         pairs, inv = np.unique(np.column_stack([rates, self.service_rates]), axis=0,
                                return_inverse=True)
         table = expected_drops_table(pairs[:, 0], pairs[:, 1], self.params.buffer,

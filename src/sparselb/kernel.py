@@ -5,7 +5,9 @@ independent birth-death chain on {0, ..., B}: packets arrive at the queue's
 effective rate and leave at its service rate.  This module builds the
 generator of that chain, computes the exact epoch transition law through
 the matrix exponential (scipy.linalg.expm), and computes the expected
-number of dropped packets via an augmented absorbing counter state.
+number of dropped packets via an augmented absorbing counter state.  Both
+tables are stacked: they take arrays of (arrival, service) rate pairs and
+cover all of them with one exponential.
 
 Conventions: generators are column-oriented, Q[i, j] is the rate from
 state j to state i, so columns sum to zero and the epoch law is
@@ -13,17 +15,12 @@ exp(Q * dt) applied to a basis vector.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import expm
 
 __all__ = [
     "effective_rates",
-    "EpochKernel",
-    "build_generator",
-    "epoch_law",
-    "expected_drops",
+    "epoch_law_table",
     "expected_drops_table",
 ]
 
@@ -64,32 +61,15 @@ def effective_rates(topology, offload, base_rate: float) -> np.ndarray:
     return base_rate * ((1.0 - a) + inflow)
 
 
-@dataclass(frozen=True)
-class EpochKernel:
-    """Frozen single-queue dynamics for one epoch.
-
-    generator is the (B+1)x(B+1) birth-death generator; augmented appends an
-    absorbing counter state fed at the arrival rate from the full state, so
-    the counter's mass after one epoch equals the expected drop count.  The
-    augmented matrix is not a proper generator (its full-state column sums
-    to the arrival rate, not zero).
-    """
-
-    arrival_rate: float
-    service_rate: float
-    buffer: int
-    epoch_length: float
-    generator: np.ndarray
-    augmented: np.ndarray
-
-
 def _augmented_generators(arrival_rates, service_rates, buffer: int,
                           epoch_length: float) -> np.ndarray:
     """Stacked augmented generators, shape (k, B+2, B+2), one per rate pair.
 
     The leading (B+1)x(B+1) block of each slice is the birth-death
-    generator; the last row is the absorbing drop counter.  The epoch
-    length is only validated here; callers scale by it.
+    generator; the last row is an absorbing counter fed at the arrival
+    rate from the full state, so its mass after one epoch is the expected
+    drop count.  The epoch length is only validated here; callers scale
+    by it.
     """
     lam = np.asarray(arrival_rates, dtype=np.float64).reshape(-1)
     mu = np.asarray(service_rates, dtype=np.float64).reshape(-1)
@@ -112,29 +92,16 @@ def _augmented_generators(arrival_rates, service_rates, buffer: int,
     return aug
 
 
-def build_generator(arrival_rate: float, service_rate: float, buffer: int,
-                    epoch_length: float = 1.0) -> EpochKernel:
-    aug = _augmented_generators(arrival_rate, service_rate, buffer, epoch_length)[0]
-    q = aug[:-1, :-1].copy()
-    return EpochKernel(arrival_rate, service_rate, buffer, epoch_length, q, aug)
+def epoch_law_table(arrival_rates, service_rates, buffer: int,
+                    epoch_length: float) -> np.ndarray:
+    """Epoch transition laws, shape (k, B+1, B+1).
 
-
-def epoch_law(kernel: EpochKernel, start_state: int) -> np.ndarray:
-    """Distribution of the queue length after one epoch from start_state."""
-    _check_state(kernel, start_state)
-    return expm(kernel.generator * kernel.epoch_length)[:, start_state].copy()
-
-
-def expected_drops(kernel: EpochKernel, start_state: int) -> float:
-    """Expected packets dropped over one epoch from start_state.
-
-    Equals the arrival rate times the time-integrated probability of the
-    queue being full, read off the absorbing counter of the augmented
-    matrix exponential.
+    Slice i is exp(Q_i * epoch_length) for the birth-death generator Q_i
+    of the pair (arrival_rates[i], service_rates[i]); column s is the
+    distribution of the queue length after one epoch from start state s.
     """
-    _check_state(kernel, start_state)
-    p = expm(kernel.augmented * kernel.epoch_length)
-    return float(p[kernel.buffer + 1, start_state])
+    aug = _augmented_generators(arrival_rates, service_rates, buffer, epoch_length)
+    return expm(aug[:, :-1, :-1] * epoch_length)
 
 
 def expected_drops_table(arrival_rates, service_rates, buffer: int,
@@ -148,7 +115,3 @@ def expected_drops_table(arrival_rates, service_rates, buffer: int,
     aug = _augmented_generators(arrival_rates, service_rates, buffer, epoch_length)
     return expm(aug * epoch_length)[:, buffer + 1, :buffer + 1]
 
-
-def _check_state(kernel: EpochKernel, start_state: int) -> None:
-    if not (0 <= start_state <= kernel.buffer):
-        raise ValueError("start_state outside {0, ..., buffer}")

@@ -17,20 +17,12 @@ then applies the entry matching its own queue.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .nn import PolicyParameters, load_policy_parameters, policy_zeta
 from .simulator import DecisionProfile, empirical_distribution
 
 __all__ = [
-    "DecisionRule",
-    "jsq_rule",
-    "rnd_rule",
-    "own_rule",
-    "sed_rule",
-    "mfr_rule",
     "JsqPolicy",
     "RndPolicy",
     "OwnPolicy",
@@ -40,63 +32,6 @@ __all__ = [
     "threshold_zeta",
     "make_policy",
 ]
-
-
-@dataclass(frozen=True)
-class DecisionRule:
-    """Single-agent rule: offload probabilities by own fill level, or an
-    explicit target distribution over the accessible set."""
-
-    offload: np.ndarray | None = None
-    target: dict | None = None
-
-    def __post_init__(self) -> None:
-        if (self.offload is None) == (self.target is None):
-            raise ValueError("rule needs exactly one of offload / target")
-        if self.target is not None:
-            total = float(sum(self.target.values()))
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"target weights sum to {total}, not 1")
-
-
-# ---- single-agent rule constructors ----
-
-
-def _accessible(agent: int, topology) -> list[int]:
-    return [agent, *topology.neighbors[agent]]
-
-
-def jsq_rule(agent: int, queues, topology) -> DecisionRule:
-    q = np.asarray(queues)
-    cand = _accessible(agent, topology)
-    best = min(cand, key=lambda j: (q[j], 0 if j == agent else 1, j))
-    return DecisionRule(target={int(best): 1.0})
-
-
-def sed_rule(agent: int, queues, topology, service_rates) -> DecisionRule:
-    q = np.asarray(queues, dtype=np.float64)
-    mu = np.asarray(service_rates, dtype=np.float64)
-    cand = _accessible(agent, topology)
-    best = min(cand, key=lambda j: ((q[j] + 1.0) / mu[j], 0 if j == agent else 1, j))
-    return DecisionRule(target={int(best): 1.0})
-
-
-def rnd_rule(agent: int, topology) -> DecisionRule:
-    cand = _accessible(agent, topology)
-    p = 1.0 / len(cand)
-    return DecisionRule(target={int(j): p for j in cand})
-
-
-def own_rule(agent: int) -> DecisionRule:
-    return DecisionRule(target={int(agent): 1.0})
-
-
-def mfr_rule(observation, params: PolicyParameters) -> DecisionRule:
-    """Offload probabilities per own fill level for one observation."""
-    return DecisionRule(offload=np.asarray(policy_zeta(params, observation)))
-
-
-# ---- whole-network policies ----
 
 
 class _ArgminPolicy:

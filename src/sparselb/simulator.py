@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel as _kernel
-from .traffic import ArrivalRegime, regime_init, regime_step
+from .traffic import regime_init, regime_step
 
 __all__ = [
     "SystemParams",
@@ -54,6 +54,11 @@ class SystemParams:
     def __post_init__(self) -> None:
         if self.buffer < 1:
             raise ValueError("buffer must be >= 1")
+        if not (0.0 <= self.rate_low <= self.rate_high):
+            raise ValueError("need 0 <= rate_low <= rate_high")
+        for p in (self.p_high_to_low, self.p_low_to_high):
+            if not (0.0 <= p <= 1.0):
+                raise ValueError("switch probabilities must lie in [0, 1]")
         if self.start_distribution is not None:
             nu = np.asarray(self.start_distribution, dtype=np.float64)
             if nu.shape != (self.buffer + 1,) or np.any(nu < 0) or abs(nu.sum() - 1.0) > 1e-9:
@@ -233,6 +238,11 @@ def run_epoch(queues, profile, topology, base_rate: float, service_rates,
         profile = DecisionProfile(offload=profile)
     if delta_t <= 0.0:
         raise ValueError("delta_t must be positive")
+    if profile.targets is not None:
+        t, n = np.asarray(profile.targets), topology.n_nodes
+        if t.shape != (n,) or not np.issubdtype(t.dtype, np.integer) \
+                or t.min() < 0 or t.max() >= n:
+            raise ValueError(f"targets must be {n} integer queue indices in [0, {n})")
     if engine == "bank":
         lam = profile_rates(profile, topology, base_rate)
         nq, drops, arrivals, services = simulate_queue_bank(
@@ -261,8 +271,10 @@ class Episode:
 
     ``reset`` draws the start queues and then the initial arrival phase;
     ``advance`` runs one epoch under a frozen profile and then redraws the
-    phase.  ``run_episode`` and the control environment both step this
-    class, so one seed gives one trajectory whichever of them drives it.
+    phase.  The phase is ``high`` (True for the high rate) and ``rate``
+    reads the matching rate from ``params``.  ``run_episode`` and the
+    control environment both step this class, so one seed gives one
+    trajectory whichever of them drives it.
     """
 
     def __init__(self, topology, params: SystemParams, delta_t: float,
@@ -276,26 +288,30 @@ class Episode:
         self.service_rates = params.service_rates(topology.n_nodes)
         self.rng = None
         self.queues = None
-        self.regime = None
+        self.high = None
         self.epoch = 0
+
+    @property
+    def rate(self) -> float:
+        """The shared arrival rate of the current phase."""
+        return self.params.rate_high if self.high else self.params.rate_low
 
     def reset(self, seed) -> None:
         """Start a new episode from an int seed or a Generator."""
-        p = self.params
         self.rng = seed if isinstance(seed, np.random.Generator) \
             else np.random.default_rng(seed)
-        self.queues = init_queues(p, self.topology.n_nodes, self.rng)
-        self.regime = regime_init(p.rate_high, p.rate_low, p.p_high_to_low,
-                                  p.p_low_to_high, self.rng)
+        self.queues = init_queues(self.params, self.topology.n_nodes, self.rng)
+        self.high = regime_init(self.rng)
         self.epoch = 0
 
     def advance(self, profile) -> EpochOutcome:
         """Run one epoch under ``profile``, then redraw the arrival phase."""
-        out = run_epoch(self.queues, profile, self.topology, self.regime.rate,
-                        self.service_rates, self.params.buffer, self.delta_t,
+        p = self.params
+        out = run_epoch(self.queues, profile, self.topology, self.rate,
+                        self.service_rates, p.buffer, self.delta_t,
                         self.rng, self.engine)
         self.queues = out.next_queues
-        self.regime = regime_step(self.regime, self.rng)
+        self.high = regime_step(self.high, p.p_high_to_low, p.p_low_to_high, self.rng)
         self.epoch += 1
         return out
 
@@ -318,7 +334,7 @@ def run_episode(topology, policy, horizon: int, delta_t: float,
     trace: list = []
     for t in range(horizon):
         dists[t] = empirical_distribution(ep.queues, b)
-        rate = rates[t] = ep.regime.rate
+        rate = rates[t] = ep.rate
         out = ep.advance(policy.profile(ep.queues, topology, ep.service_rates))
         drop_counts[t] = int(out.drops.sum())
         if record_trace:

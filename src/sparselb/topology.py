@@ -12,14 +12,12 @@ plain-text edge list.
 """
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 __all__ = [
-    "Family",
     "Topology",
     "build_cyc1d",
     "build_ccc",
@@ -33,23 +31,12 @@ __all__ = [
 ]
 
 
-class Family(str, enum.Enum):
-    CYC1D = "cyc1d"
-    CCC = "ccc"
-    TORUS = "torus"
-    CONFIG_MODEL = "cm"
-    BETHE = "bethe"
-    CUSTOM = "custom"
-
-
 @dataclass(frozen=True)
 class Topology:
     """Immutable undirected graph with per-node sorted neighbor lists."""
 
     n_nodes: int
     neighbors: tuple[tuple[int, ...], ...]
-    family: Family = Family.CUSTOM
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
@@ -131,8 +118,7 @@ class Topology:
         return {int(v): int(c) for v, c in zip(vals, counts)}
 
 
-def from_edges(n_nodes: int, edges, family: Family = Family.CUSTOM,
-               meta: dict | None = None) -> Topology:
+def from_edges(n_nodes: int, edges) -> Topology:
     """Build a Topology from an iterable of (i, j) pairs.
 
     Self-loops and duplicate edges are rejected.
@@ -149,7 +135,7 @@ def from_edges(n_nodes: int, edges, family: Family = Family.CUSTOM,
         adj[i].add(j)
         adj[j].add(i)
     neighbors = tuple(tuple(sorted(s)) for s in adj)
-    return Topology(n_nodes, neighbors, family, meta or {})
+    return Topology(n_nodes, neighbors)
 
 
 # ---- builders ----
@@ -160,7 +146,7 @@ def build_cyc1d(n: int) -> Topology:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
     edges = [(i, (i + 1) % n) for i in range(n)]
-    return from_edges(n, edges, Family.CYC1D, {"n": n})
+    return from_edges(n, edges)
 
 
 def build_ccc(order: int) -> Topology:
@@ -184,8 +170,7 @@ def build_ccc(order: int) -> Topology:
             edges.add(tuple(sorted((a, node((p + 1) % order, v)))))
             edges.add(tuple(sorted((a, node((p - 1) % order, v)))))
             edges.add(tuple(sorted((a, node(p, v ^ (1 << p))))))
-    topo = from_edges(order * width, sorted(edges), Family.CCC, {"order": order})
-    return topo
+    return from_edges(order * width, sorted(edges))
 
 
 def build_torus(side: int) -> Topology:
@@ -198,7 +183,7 @@ def build_torus(side: int) -> Topology:
             a = r * side + c
             edges.add(tuple(sorted((a, ((r + 1) % side) * side + c))))
             edges.add(tuple(sorted((a, r * side + (c + 1) % side))))
-    return from_edges(side * side, sorted(edges), Family.TORUS, {"side": side})
+    return from_edges(side * side, sorted(edges))
 
 
 def build_config_model(n: int, degree_set, seed, max_retries: int = 200) -> Topology:
@@ -220,7 +205,7 @@ def build_config_model(n: int, degree_set, seed, max_retries: int = 200) -> Topo
     if degree_set[-1] >= n:
         raise ValueError("degrees must be < n")
     rng = np.random.default_rng(seed)
-    for attempt in range(max_retries):
+    for _ in range(max_retries):
         degrees = rng.choice(degree_set, size=n)
         if degrees.sum() % 2 == 1:
             k = int(rng.integers(n))
@@ -237,8 +222,7 @@ def build_config_model(n: int, degree_set, seed, max_retries: int = 200) -> Topo
             if i == j:
                 continue
             edges.add((min(int(i), int(j)), max(int(i), int(j))))
-        topo = from_edges(n, sorted(edges), Family.CONFIG_MODEL,
-                          {"n": n, "degree_set": degree_set, "attempts": attempt + 1})
+        topo = from_edges(n, sorted(edges))
         if topo.is_connected():
             return topo
     raise RuntimeError(
@@ -274,8 +258,7 @@ def build_bethe(depth: int, branching: int) -> Topology:
         frontier = new_frontier
     n = next_id
     assert n == bethe_size(depth, branching)
-    return from_edges(n, edges, Family.BETHE,
-                      {"depth": depth, "branching": branching})
+    return from_edges(n, edges)
 
 
 # ---- plain-text edge list i/o ----
@@ -302,4 +285,4 @@ def load_edge_list(path) -> Topology:
                 continue
             i, j = line.split()
             edges.append((int(i), int(j)))
-    return from_edges(n, edges, Family.CUSTOM)
+    return from_edges(n, edges)

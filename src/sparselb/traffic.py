@@ -3,60 +3,29 @@
 All schedulers share one Poisson arrival intensity that sits in a high or a
 low state.  The state is redrawn once per decision epoch from a two-state
 Markov chain; packet-level arrivals inside an epoch are handled by the
-event engine, which only needs the current rate.
+event engine, which only needs the current rate.  The rates and switch
+probabilities live in ``SystemParams``; the phase itself is one bool,
+True for high.
 """
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, replace
-
 import numpy as np
 
-__all__ = ["Phase", "ArrivalRegime", "regime_init", "regime_step", "stationary_high_fraction"]
+__all__ = ["regime_init", "regime_step", "stationary_high_fraction"]
 
 
-class Phase(str, enum.Enum):
-    HIGH = "high"
-    LOW = "low"
+def regime_init(rng: np.random.Generator) -> bool:
+    """Draw the initial phase uniformly from {high, low}; True is high."""
+    return rng.random() < 0.5
 
 
-@dataclass(frozen=True)
-class ArrivalRegime:
-    """Current phase of the shared arrival intensity plus its switch law."""
-
-    rate_high: float
-    rate_low: float
-    p_high_to_low: float
-    p_low_to_high: float
-    current: Phase
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.rate_low <= self.rate_high):
-            raise ValueError("need 0 <= rate_low <= rate_high")
-        for p in (self.p_high_to_low, self.p_low_to_high):
-            if not (0.0 <= p <= 1.0):
-                raise ValueError("switch probabilities must lie in [0, 1]")
-
-    @property
-    def rate(self) -> float:
-        return self.rate_high if self.current is Phase.HIGH else self.rate_low
-
-
-def regime_init(rate_high: float, rate_low: float, p_high_to_low: float,
-                p_low_to_high: float, rng: np.random.Generator) -> ArrivalRegime:
-    """Draw the initial phase uniformly from {high, low}."""
-    current = Phase.HIGH if rng.random() < 0.5 else Phase.LOW
-    return ArrivalRegime(rate_high, rate_low, p_high_to_low, p_low_to_high, current)
-
-
-def regime_step(regime: ArrivalRegime, rng: np.random.Generator) -> ArrivalRegime:
+def regime_step(high: bool, p_high_to_low: float, p_low_to_high: float,
+                rng: np.random.Generator) -> bool:
     """Advance the phase chain by one epoch; exactly one uniform is consumed."""
     u = rng.random()
-    if regime.current is Phase.HIGH:
-        nxt = Phase.LOW if u < regime.p_high_to_low else Phase.HIGH
-    else:
-        nxt = Phase.HIGH if u < regime.p_low_to_high else Phase.LOW
-    return replace(regime, current=nxt)
+    if high:
+        return u >= p_high_to_low
+    return u < p_low_to_high
 
 
 def stationary_high_fraction(p_high_to_low: float, p_low_to_high: float) -> float:

@@ -12,8 +12,7 @@ import pytest
 
 from sparselb.harness import (ExperimentConfig, build_topology, evaluate,
                               policy_key, sweep, topology_key)
-from sparselb.kernel import (build_generator, effective_rates, epoch_law,
-                             expected_drops)
+from sparselb.kernel import effective_rates, epoch_law_table, expected_drops_table
 from sparselb.nn import Mlp, save_policy_parameters
 from sparselb.simulator import DecisionProfile, SystemParams, _gillespie_epoch
 from sparselb.trainer import (CemConfig, RolloutBatch, TrainerConfig,
@@ -70,8 +69,7 @@ def _overlap(a, b) -> bool:
 
 
 def test_criterion_01_kernel_closed_form(criterion_report):
-    kernel = build_generator(1.0, 1.0, 1, 1.0)
-    got = expected_drops(kernel, 0)
+    got = float(expected_drops_table(1.0, 1.0, 1, 1.0)[0, 0])
     closed = (1.0 + np.exp(-2.0)) / 4.0
     err_drops = abs(got - 0.283834)
     ok = err_drops < 1e-6 and abs(got - closed) < 1e-12
@@ -81,7 +79,7 @@ def test_criterion_01_kernel_closed_form(criterion_report):
         r = lam + mu
         pi1 = lam / r
         for z0 in (0, 1):
-            law = epoch_law(build_generator(lam, mu, 1, dt), z0)
+            law = epoch_law_table(lam, mu, 1, dt)[0][:, z0]
             p1 = pi1 + ((1.0 if z0 == 1 else 0.0) - pi1) * np.exp(-r * dt)
             want = np.array([1.0 - p1, p1])
             max_err = max(max_err, float(np.abs(law - want).max()))
@@ -115,12 +113,13 @@ def test_criterion_02_kernel_engine_equivalence(criterion_report):
 
     max_tv = 0.0
     want_drops = 0.0
+    laws = epoch_law_table(rates, mu, buffer, delta_t)
+    table = expected_drops_table(rates, mu, buffer, delta_t)
     for i in range(3):
-        kern = build_generator(rates[i], 1.0, buffer, delta_t)
-        law = epoch_law(kern, start[i])
+        law = laws[i][:, start[i]]
         emp = np.bincount(states[:, i], minlength=buffer + 1) / n_epochs
         max_tv = max(max_tv, 0.5 * float(np.abs(emp - law).sum()))
-        want_drops += expected_drops(kern, start[i])
+        want_drops += table[i, start[i]]
     se = drops.std(ddof=1) / np.sqrt(n_epochs)
     z = abs(drops.mean() - want_drops) / se
     ok = max_tv < 0.01 and z < 3.0

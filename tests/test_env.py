@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from sparselb.env import LoadBalanceEnv
-from sparselb.policies import StaticZetaPolicy, threshold_zeta
+from sparselb.nn import PolicyParameters
+from sparselb.policies import MfrPolicy, StaticZetaPolicy, threshold_zeta
 from sparselb.simulator import SystemParams, run_episode
-from sparselb.topology import build_cyc1d
+from sparselb.topology import build_cyc1d, from_edges
 
 
 def make_env(**kw):
@@ -112,6 +113,36 @@ def test_neighborhood_observation_mode():
     assert obs.sum() == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("mode", ["global", "neighborhood", "ownstate"])
+def test_observation_matches_deployed_policy(mode):
+    # the controller trains on env.observation() and MfrPolicy builds the
+    # deployed observation from the same queues; the two must agree
+    rng = np.random.default_rng(31)
+    params = SystemParams(start_distribution=(0.1, 0.2, 0.2, 0.2, 0.2, 0.1))
+    policy = MfrPolicy(PolicyParameters.init(5, (4,), rng, observation_mode=mode))
+    checked = 0
+    for _ in range(6):
+        n = int(rng.integers(4, 12))
+        pairs = [(i, j) for i in range(n - 2) for j in range(i + 1, n - 2)]
+        pick = rng.random(len(pairs)) < 0.4
+        # the last two nodes stay isolated
+        topo = from_edges(n, [p for p, keep in zip(pairs, pick) if keep])
+        for agent in range(n):
+            env = LoadBalanceEnv(topo, params, 1.0, 3, observation_mode=mode,
+                                 designated_agent=agent)
+            env.reset(seed=int(rng.integers(2**31)))
+            while True:
+                want = policy.observations(env.queues, topo)
+                if mode != "global":
+                    want = want[agent]
+                assert np.array_equal(env.observation(), want)
+                checked += 1
+                if env.done:
+                    break
+                env.step(rng.random(6))
+    assert checked > 100
+
+
 def test_observe_rate_appends_normalized_rate():
     env = make_env(observe_rate=True)
     obs = env.reset(seed=5)
@@ -125,7 +156,7 @@ def test_observe_rate_appends_normalized_rate():
 def test_expected_reward_mode():
     # variance-reduced reward equals the summed per-queue kernel
     # expectation at the epoch-start fills; dynamics stay the realized ones
-    from sparselb.kernel import build_generator, effective_rates, expected_drops
+    from sparselb.kernel import effective_rates, expected_drops_table
 
     topo = build_cyc1d(9)
     # per-queue service rates, some repeated, and a fill-dependent table so
@@ -140,10 +171,10 @@ def test_expected_reward_mode():
         realized.reset(seed=21)
         for _ in range(4):
             q0 = env.queues.copy()
-            rate = env.regime.rate
+            rate = env.rate
             tr = env.step(zeta)
             rates = effective_rates(topo, zeta[q0], rate)
-            want = sum(expected_drops(build_generator(r, m, 5, 2.0), int(z))
+            want = sum(expected_drops_table(r, m, 5, 2.0)[0, z]
                        for r, m, z in zip(rates, service, q0))
             assert tr.reward == pytest.approx(-want / 9.0, rel=1e-12)
             # the reward computation consumes no randomness

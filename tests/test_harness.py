@@ -11,7 +11,7 @@ from sparselb.harness import (CellResult, ExperimentConfig, bethe_ablation,
                               evaluate, policy_key, read_results_csv, sweep,
                               topology_key, write_results, _student_t_ci)
 from sparselb.simulator import SystemParams
-from sparselb.topology import Family, build_cyc1d, save_edge_list
+from sparselb.topology import build_cyc1d, save_edge_list
 
 
 def small_cfg(**kw):

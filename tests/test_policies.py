@@ -7,31 +7,43 @@ import pytest
 
 from sparselb.kernel import effective_rates
 from sparselb.nn import PolicyParameters, policy_zeta, save_policy_parameters
-from sparselb.policies import (DecisionRule, JsqPolicy, MfrPolicy, OwnPolicy,
-                               RndPolicy, SedPolicy, StaticZetaPolicy,
-                               jsq_rule, make_policy, mfr_rule, own_rule,
-                               rnd_rule, sed_rule, threshold_zeta)
+from sparselb.policies import (JsqPolicy, MfrPolicy, OwnPolicy, RndPolicy,
+                               SedPolicy, StaticZetaPolicy, make_policy,
+                               threshold_zeta)
 from sparselb.simulator import empirical_distribution, profile_rates, run_episode
 from sparselb.simulator import SystemParams
 from sparselb.topology import build_ccc, build_cyc1d, build_torus
 
 
+# Per-agent oracles for the vectorized argmin policies: scan the agent's
+# accessible set (own queue first, then neighbors) and return the target.
+
+
+def jsq(agent, queues, topology, service_rates):
+    cand = [agent, *topology.neighbors[agent]]
+    return min(cand, key=lambda j: (queues[j], 0 if j == agent else 1, j))
+
+
+def sed(agent, queues, topology, service_rates):
+    cand = [agent, *topology.neighbors[agent]]
+    return min(cand, key=lambda j: ((queues[j] + 1.0) / service_rates[j],
+                                    0 if j == agent else 1, j))
+
+
 def test_jsq_rule_prefers_shortest_neighbor():
     topo = build_cyc1d(5)
     queues = np.array([3, 1, 2, 2, 2])
-    rule = jsq_rule(0, queues, topo)
-    assert rule.target == {1: 1.0}
+    assert JsqPolicy().profile(queues, topo, np.ones(5)).targets[0] == 1
 
 
 def test_jsq_rule_tie_breaks_own_first():
     topo = build_cyc1d(5)
     queues = np.array([2, 2, 2, 2, 2])
-    rule = jsq_rule(0, queues, topo)
-    assert rule.target == {0: 1.0}
+    assert JsqPolicy().profile(queues, topo, np.ones(5)).targets[0] == 0
     # own queue loses only strictly
     queues = np.array([2, 1, 3, 3, 1])
-    rule = jsq_rule(0, queues, topo)
-    assert rule.target == {1: 1.0}  # lowest index among tied neighbors
+    # lowest index among tied neighbors
+    assert JsqPolicy().profile(queues, topo, np.ones(5)).targets[0] == 1
 
 
 def test_sed_rule_scales_by_service_rate():
@@ -39,32 +51,16 @@ def test_sed_rule_scales_by_service_rate():
     queues = np.array([1, 3, 3])
     # neighbor 1 is fast enough that (3+1)/4 < (1+1)/1
     mu = np.array([1.0, 4.0, 1.0])
-    rule = sed_rule(0, queues, topo, mu)
-    assert rule.target == {1: 1.0}
+    assert SedPolicy().profile(queues, topo, mu).targets[0] == 1
     # equal rates: SED reduces to JSQ
     mu = np.ones(3)
-    assert sed_rule(0, queues, topo, mu).target == jsq_rule(0, queues, topo).target
-
-
-def test_rnd_and_own_rules():
-    topo = build_cyc1d(5)
-    rule = rnd_rule(0, topo)
-    assert rule.target == {0: 1 / 3, 1: 1 / 3, 4: 1 / 3}
-    assert own_rule(0).target == {0: 1.0}
-
-
-def test_decision_rule_validation():
-    with pytest.raises(ValueError):
-        DecisionRule()
-    with pytest.raises(ValueError):
-        DecisionRule(offload=np.zeros(6), target={0: 1.0})
-    with pytest.raises(ValueError):
-        DecisionRule(target={0: 0.4})  # must sum to one
+    assert SedPolicy().profile(queues, topo, mu).targets[0] == \
+        JsqPolicy().profile(queues, topo, mu).targets[0]
 
 
 @pytest.mark.parametrize("policy_cls,rule_fn", [
-    (JsqPolicy, jsq_rule),
-    (SedPolicy, sed_rule),
+    (JsqPolicy, jsq),
+    (SedPolicy, sed),
 ])
 def test_vectorized_profile_matches_per_agent_rules(policy_cls, rule_fn):
     rng = np.random.default_rng(5)
@@ -74,12 +70,7 @@ def test_vectorized_profile_matches_per_agent_rules(policy_cls, rule_fn):
             queues = rng.integers(0, 6, size=topo.n_nodes)
             prof = policy_cls().profile(queues, topo, mu)
             for i in range(topo.n_nodes):
-                if rule_fn is sed_rule:
-                    rule = rule_fn(i, queues, topo, mu)
-                else:
-                    rule = rule_fn(i, queues, topo)
-                (want,) = rule.target
-                assert prof.targets[i] == want
+                assert prof.targets[i] == rule_fn(i, queues, topo, mu)
 
 
 def test_sed_equals_jsq_for_equal_rates():
@@ -159,8 +150,6 @@ def test_mfr_policy_matches_per_agent_rule():
     obs = empirical_distribution(queues, 5)
     zeta = policy_zeta(params, obs)
     assert np.array_equal(prof.offload, zeta[queues])
-    rule = mfr_rule(obs, params)
-    assert np.array_equal(rule.offload, zeta)
 
 
 def test_mfr_ownstate_observations_are_one_hot():

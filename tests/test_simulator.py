@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from sparselb.kernel import build_generator, effective_rates, epoch_law, \
-    expected_drops
+from sparselb.kernel import effective_rates, epoch_law_table, expected_drops_table
 from sparselb.policies import OwnPolicy, RndPolicy, StaticZetaPolicy, threshold_zeta
 from sparselb.simulator import (DecisionProfile, EpochOutcome, Episode, SystemParams,
                                 empirical_distribution, init_queues,
@@ -35,6 +34,14 @@ def test_system_params_validation():
         SystemParams(buffer=0)
     with pytest.raises(ValueError):
         SystemParams(start_distribution=(0.5, 0.2))
+    with pytest.raises(ValueError):
+        SystemParams(rate_high=0.5, rate_low=0.9)
+    with pytest.raises(ValueError):
+        SystemParams(rate_low=-0.1)
+    with pytest.raises(ValueError):
+        SystemParams(p_high_to_low=1.2)
+    with pytest.raises(ValueError):
+        SystemParams(p_low_to_high=-0.1)
     p = SystemParams(service_rate=(1.0, 2.0, 1.0))
     assert np.array_equal(p.service_rates(3), np.array([1.0, 2.0, 1.0]))
     with pytest.raises(ValueError):
@@ -117,6 +124,21 @@ def test_run_epoch_rejects_bad_delta_t():
                   engine="magic")
 
 
+@pytest.mark.parametrize("engine", ["bank", "reference"])
+def test_run_epoch_rejects_bad_targets(engine):
+    topo = build_cyc1d(4)
+    good = np.array([1, 0, 3, 3])
+    for bad in (np.array([1, 0, 3, -1]), np.array([1, 0, 3, 4]),
+                np.array([1.7, 0.0, 3.0, 3.0]), np.array([1, 0, 3]),
+                np.array([[1, 0, 3, 3]])):
+        with pytest.raises(ValueError, match="targets"):
+            run_epoch(np.zeros(4, dtype=int), DecisionProfile(targets=bad), topo,
+                      0.9, np.ones(4), 5, 1.0, np.random.default_rng(0), engine)
+    out = run_epoch(np.zeros(4, dtype=int), DecisionProfile(targets=good), topo,
+                    0.9, np.ones(4), 5, 1.0, np.random.default_rng(0), engine)
+    assert out.arrivals[2] == 0
+
+
 def test_offload_array_accepted_directly():
     topo = build_cyc1d(4)
     out = run_epoch(np.zeros(4, dtype=int), np.full(4, 0.5), topo, 0.9,
@@ -132,10 +154,10 @@ def test_queue_bank_matches_kernel_marginal():
     q0 = np.full(reps, z0)
     nq, drops, _, _ = simulate_queue_bank(q0, np.full(reps, lam),
                                           np.full(reps, mu), b, dt, rng)
-    law = epoch_law(build_generator(lam, mu, b, dt), z0)
+    law = epoch_law_table(lam, mu, b, dt)[0][:, z0]
     emp = np.bincount(nq, minlength=b + 1) / reps
     assert 0.5 * np.abs(emp - law).sum() < 0.01
-    want = expected_drops(build_generator(lam, mu, b, dt), z0)
+    want = expected_drops_table(lam, mu, b, dt)[0, z0]
     se = drops.std(ddof=1) / np.sqrt(reps)
     assert abs(drops.mean() - want) < 3.0 * se + 1e-12
 
@@ -246,6 +268,19 @@ def test_run_episode_trace():
     row = res.trace[0]
     assert set(row) == {"epoch", "rate", "drops", "arrivals", "services",
                         "distribution"}
+
+
+def test_episode_rate_follows_phase():
+    params = SystemParams(rate_high=0.9, rate_low=0.6)
+    ep = Episode(build_cyc1d(5), params, 1.0)
+    rates = set()
+    for seed in range(8):
+        ep.reset(seed)
+        for _ in range(5):
+            assert ep.rate == (0.9 if ep.high else 0.6)
+            rates.add(ep.rate)
+            ep.advance(OwnPolicy().profile(ep.queues, ep.topology, ep.service_rates))
+    assert rates == {0.6, 0.9}
 
 
 def test_init_queues_start_distribution():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sparselb.topology import (Family, Topology, bethe_size, build_bethe,
+from sparselb.topology import (Topology, bethe_size, build_bethe,
                                build_ccc, build_config_model, build_cyc1d,
                                build_torus, from_edges, load_edge_list,
                                save_edge_list)
@@ -134,7 +134,7 @@ def test_from_edges_validation():
 
 
 def test_validate_catches_asymmetry():
-    broken = Topology(3, ((1,), (), ()), Family.CUSTOM)
+    broken = Topology(3, ((1,), (), ()))
     with pytest.raises(ValueError):
         broken.validate()
 
@@ -169,7 +169,7 @@ def test_edge_list_round_trip(tmp_path):
     back = load_edge_list(path)
     assert back.n_nodes == topo.n_nodes
     assert back.neighbors == topo.neighbors
-    assert back.family is Family.CUSTOM
+    assert back == topo
 
 
 def test_edge_list_rejects_bad_header(tmp_path):

@@ -3,50 +3,31 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sparselb.traffic import (ArrivalRegime, Phase, regime_init, regime_step,
-                              stationary_high_fraction)
-
-
-def _default(current=Phase.HIGH) -> ArrivalRegime:
-    return ArrivalRegime(0.9, 0.6, 0.2, 0.5, current)
-
-
-def test_rate_property():
-    assert _default(Phase.HIGH).rate == 0.9
-    assert _default(Phase.LOW).rate == 0.6
-
-
-def test_validation():
-    with pytest.raises(ValueError):
-        ArrivalRegime(0.5, 0.9, 0.2, 0.5, Phase.HIGH)
-    with pytest.raises(ValueError):
-        ArrivalRegime(0.9, 0.6, 1.2, 0.5, Phase.HIGH)
+from sparselb.traffic import regime_init, regime_step, stationary_high_fraction
 
 
 def test_init_uniform_over_phases():
     rng = np.random.default_rng(7)
-    highs = sum(regime_init(0.9, 0.6, 0.2, 0.5, rng).current is Phase.HIGH
-                for _ in range(10_000))
+    highs = sum(regime_init(rng) for _ in range(10_000))
     assert 0.47 < highs / 10_000 < 0.53
 
 
 def test_step_frequencies():
     rng = np.random.default_rng(11)
     n = 100_000
-    from_high = sum(regime_step(_default(Phase.HIGH), rng).current is Phase.LOW
-                    for _ in range(n))
+    from_high = sum(not regime_step(True, 0.2, 0.5, rng) for _ in range(n))
     assert abs(from_high / n - 0.2) < 0.005
-    from_low = sum(regime_step(_default(Phase.LOW), rng).current is Phase.HIGH
-                   for _ in range(n))
+    from_low = sum(regime_step(False, 0.2, 0.5, rng) for _ in range(n))
     assert abs(from_low / n - 0.5) < 0.006
 
 
-def test_step_is_pure():
-    regime = _default(Phase.HIGH)
+def test_step_consumes_one_uniform():
     rng = np.random.default_rng(0)
-    nxt = regime_step(regime, rng)
-    assert regime.current is Phase.HIGH
-    assert nxt.rate_high == regime.rate_high
+    ref = np.random.default_rng(0)
+    for high in (True, False, True):
+        regime_step(high, 0.2, 0.5, rng)
+        ref.random()
+    assert rng.random() == ref.random()
 
 
 def test_stationary_fraction_formula():
@@ -59,10 +40,10 @@ def test_stationary_fraction_formula():
 def test_long_run_high_fraction():
     # 1e6-step simulation concentrates near 5/7 ~ 0.714
     rng = np.random.default_rng(23)
-    regime = regime_init(0.9, 0.6, 0.2, 0.5, rng)
-    high = 0
+    high = regime_init(rng)
+    count = 0
     n = 1_000_000
     for _ in range(n):
-        regime = regime_step(regime, rng)
-        high += regime.current is Phase.HIGH
-    assert abs(high / n - 5.0 / 7.0) < 0.005
+        high = regime_step(high, 0.2, 0.5, rng)
+        count += high
+    assert abs(count / n - 5.0 / 7.0) < 0.005
