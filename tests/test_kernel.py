@@ -90,7 +90,8 @@ def test_augmented_matrix_shape():
     assert np.all(aug[4, :3] == 0.0)
 
 
-def test_epoch_law_table_validation():
+def test_build_generator_validation():
+    # the generator is built inside the stacked API, which validates its inputs
     with pytest.raises(ValueError):
         epoch_law_table(-0.1, 1.0, 1, 1.0)
     with pytest.raises(ValueError):
@@ -175,7 +176,7 @@ def test_expected_drops_monotone_in_rate_and_epoch_length():
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
-def test_stacked_tables_match_single_pairs():
+def test_expected_drops_table_matches_scalar():
     # stacking rate pairs changes nothing: every slice equals the table of
     # its pair alone, bit for bit, including pairs with no arrivals or no
     # service

@@ -19,12 +19,12 @@ from sparselb.topology import build_ccc, build_cyc1d, build_torus
 # accessible set (own queue first, then neighbors) and return the target.
 
 
-def jsq(agent, queues, topology, service_rates):
+def jsq_rule(agent, queues, topology, service_rates):
     cand = [agent, *topology.neighbors[agent]]
     return min(cand, key=lambda j: (queues[j], 0 if j == agent else 1, j))
 
 
-def sed(agent, queues, topology, service_rates):
+def sed_rule(agent, queues, topology, service_rates):
     cand = [agent, *topology.neighbors[agent]]
     return min(cand, key=lambda j: ((queues[j] + 1.0) / service_rates[j],
                                     0 if j == agent else 1, j))
@@ -58,9 +58,21 @@ def test_sed_rule_scales_by_service_rate():
         JsqPolicy().profile(queues, topo, mu).targets[0]
 
 
+def test_rnd_and_own_rules():
+    # rnd on a 5-cycle is uniform over {0, 1, 4}: agent 0 keeps a third of
+    # its jobs and splits the rest evenly over its two neighbors
+    topo = build_cyc1d(5)
+    q = np.zeros(5, dtype=int)
+    rnd = RndPolicy().profile(q, topo, np.ones(5))
+    assert rnd.offload[0] == pytest.approx(2 / 3, abs=1e-15)
+    assert rnd.targets is None
+    own = OwnPolicy().profile(q, topo, np.ones(5))
+    assert np.array_equal(own.offload, np.zeros(5))
+
+
 @pytest.mark.parametrize("policy_cls,rule_fn", [
-    (JsqPolicy, jsq),
-    (SedPolicy, sed),
+    (JsqPolicy, jsq_rule),
+    (SedPolicy, sed_rule),
 ])
 def test_vectorized_profile_matches_per_agent_rules(policy_cls, rule_fn):
     rng = np.random.default_rng(5)

@@ -34,14 +34,6 @@ def test_system_params_validation():
         SystemParams(buffer=0)
     with pytest.raises(ValueError):
         SystemParams(start_distribution=(0.5, 0.2))
-    with pytest.raises(ValueError):
-        SystemParams(rate_high=0.5, rate_low=0.9)
-    with pytest.raises(ValueError):
-        SystemParams(rate_low=-0.1)
-    with pytest.raises(ValueError):
-        SystemParams(p_high_to_low=1.2)
-    with pytest.raises(ValueError):
-        SystemParams(p_low_to_high=-0.1)
     p = SystemParams(service_rate=(1.0, 2.0, 1.0))
     assert np.array_equal(p.service_rates(3), np.array([1.0, 2.0, 1.0]))
     with pytest.raises(ValueError):
@@ -268,19 +260,6 @@ def test_run_episode_trace():
     row = res.trace[0]
     assert set(row) == {"epoch", "rate", "drops", "arrivals", "services",
                         "distribution"}
-
-
-def test_episode_rate_follows_phase():
-    params = SystemParams(rate_high=0.9, rate_low=0.6)
-    ep = Episode(build_cyc1d(5), params, 1.0)
-    rates = set()
-    for seed in range(8):
-        ep.reset(seed)
-        for _ in range(5):
-            assert ep.rate == (0.9 if ep.high else 0.6)
-            rates.add(ep.rate)
-            ep.advance(OwnPolicy().profile(ep.queues, ep.topology, ep.service_rates))
-    assert rates == {0.6, 0.9}
 
 
 def test_init_queues_start_distribution():

@@ -3,7 +3,36 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from sparselb.policies import OwnPolicy
+from sparselb.simulator import Episode, SystemParams
+from sparselb.topology import build_cyc1d
 from sparselb.traffic import regime_init, regime_step, stationary_high_fraction
+
+
+def test_rate_property():
+    # the episode's rate follows its phase: rate_high when high, else rate_low
+    params = SystemParams(rate_high=0.9, rate_low=0.6)
+    ep = Episode(build_cyc1d(5), params, 1.0)
+    rates = set()
+    for seed in range(8):
+        ep.reset(seed)
+        for _ in range(5):
+            assert ep.rate == (0.9 if ep.high else 0.6)
+            rates.add(ep.rate)
+            ep.advance(OwnPolicy().profile(ep.queues, ep.topology, ep.service_rates))
+    assert rates == {0.6, 0.9}
+
+
+def test_validation():
+    # the phase law is checked once, where the parameters are built
+    with pytest.raises(ValueError):
+        SystemParams(rate_high=0.5, rate_low=0.9)
+    with pytest.raises(ValueError):
+        SystemParams(rate_low=-0.1)
+    with pytest.raises(ValueError):
+        SystemParams(p_high_to_low=1.2)
+    with pytest.raises(ValueError):
+        SystemParams(p_low_to_high=-0.1)
 
 
 def test_init_uniform_over_phases():
@@ -21,11 +50,16 @@ def test_step_frequencies():
     assert abs(from_low / n - 0.5) < 0.006
 
 
-def test_step_consumes_one_uniform():
+def test_step_is_pure():
+    # the next phase depends only on the arguments and the generator's
+    # state, and each step consumes exactly one uniform
     rng = np.random.default_rng(0)
     ref = np.random.default_rng(0)
+    again = np.random.default_rng(0)
     for high in (True, False, True):
-        regime_step(high, 0.2, 0.5, rng)
+        nxt = regime_step(high, 0.2, 0.5, rng)
+        assert isinstance(nxt, bool)
+        assert nxt == regime_step(high, 0.2, 0.5, again)
         ref.random()
     assert rng.random() == ref.random()
 
