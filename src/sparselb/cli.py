@@ -8,7 +8,6 @@ line.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields
 
@@ -95,13 +94,10 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     topo = build_topology(cfg.topologies[0], cfg.seed)
     delta_t = float(cfg.delta_ts[0] if args.delta_t is None else args.delta_t)
-    overrides = {}
-    if args.config:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-        overrides = dict(doc.get("trainer", {}))
+    overrides = dict(cfg.trainer)
     # the flag wins over a "method" key in the config's trainer block
-    method = args.method or overrides.pop("method", "ppo")
+    method = overrides.pop("method", "ppo")
+    method = args.method or method
     if method not in ("ppo", "cem"):
         raise SystemExit(f"unknown training method {method!r}")
     known = {f.name for f in fields(TrainerConfig if method == "ppo" else CemConfig)}

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import effective_rates, expected_drops_table
-from .simulator import DecisionProfile, Episode, SystemParams, empirical_distribution
+from .policies import observations
+from .simulator import DecisionProfile, Episode, SystemParams
 
 __all__ = ["McTransition", "LoadBalanceEnv"]
 
@@ -57,21 +58,12 @@ class LoadBalanceEnv(Episode):
         return self.params.buffer + 1 + (1 if self.observe_rate else 0)
 
     def observation(self) -> np.ndarray:
-        b = self.params.buffer
-        q = self.queues
-        mode = self.observation_mode
-        if mode == "global":
-            obs = empirical_distribution(q, b)
-        elif mode == "ownstate":
-            obs = np.zeros(b + 1)
-            obs[q[self.designated_agent]] = 1.0
-        else:
-            nbrs = self.topology.neighbors[self.designated_agent]
-            if nbrs:
-                obs = np.bincount(q[list(nbrs)], minlength=b + 1) / len(nbrs)
-            else:
-                obs = np.zeros(b + 1)
-                obs[q[self.designated_agent]] = 1.0
+        """The deployed policy's observation; the designated agent's row
+        outside global mode, then the normalized rate if observed."""
+        obs = observations(self.queues, self.topology, self.params.buffer,
+                           self.observation_mode)
+        if self.observation_mode != "global":
+            obs = obs[self.designated_agent]
         if self.observe_rate:
             obs = np.append(obs, self.rate / self.params.rate_high)
         return obs

@@ -13,15 +13,15 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 from scipy import stats as _stats
 
 from . import topology as topo_mod
 from .policies import make_policy
-from .seeding import derive_seed
+from .seeding import derive_seed, parallel_map
 from .simulator import SystemParams, run_episode
 
 __all__ = [
@@ -39,12 +39,6 @@ __all__ = [
 ]
 
 
-# top-level keys of a config file; "trainer" is read by the train command
-_CONFIG_KEYS = frozenset((
-    "topologies", "topology", "policies", "delta_ts", "episodes", "horizon",
-    "seed", "workers", "engine", "record_trace", "params", "trainer"))
-
-
 @dataclass
 class ExperimentConfig:
     """Declarative description of a sweep, loadable from JSON."""
@@ -59,29 +53,24 @@ class ExperimentConfig:
     engine: str = "bank"
     params: SystemParams = field(default_factory=SystemParams)
     record_trace: bool = False
+    trainer: dict = field(default_factory=dict)     # read by the train command
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        unknown = sorted(set(doc) - _CONFIG_KEYS)
+        """Every field is a key; ``topology`` is accepted for one topology."""
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)} - {"topology"})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(map(repr, unknown))}")
         doc = dict(doc)
-        p = doc.pop("params", {})
+        p = dict(doc.pop("params", {}))
         if "service_rate" in p and isinstance(p["service_rate"], list):
             p["service_rate"] = tuple(p["service_rate"])
         if "start_distribution" in p and p["start_distribution"] is not None:
             p["start_distribution"] = tuple(p["start_distribution"])
-        topologies = doc.pop("topologies", None)
-        if topologies is None and "topology" in doc:
-            topologies = [doc.pop("topology")]
-        cfg = cls(params=SystemParams(**p))
-        if topologies is not None:
-            cfg.topologies = topologies
-        for key in ("policies", "delta_ts", "episodes", "horizon", "seed",
-                    "workers", "engine", "record_trace"):
-            if key in doc:
-                setattr(cfg, key, doc[key])
-        return cfg
+        topology = doc.pop("topology", None)
+        if doc.get("topologies") is None and topology is not None:
+            doc["topologies"] = [topology]
+        return cls(params=SystemParams(**p), **doc)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -150,37 +139,32 @@ class CellResult:
         return self.mean_drops - self.ci95, self.mean_drops + self.ci95
 
 
-def _episode_cell_job(args):
-    (topo, policy_spec, buffer_policy, delta_t, horizon, params, seed, engine,
-     record_trace) = args
-    policy = make_policy(policy_spec, buffer_policy)
-    res = run_episode(topo, policy, horizon, delta_t, params, seed, engine,
-                      record_trace)
-    return res.total_drops, res.trace
-
-
 def evaluate(topology, policy_spec, delta_t: float, cfg: ExperimentConfig,
              topo_key: str | None = None, trace_path=None) -> CellResult:
-    """Evaluate one cell; per-episode seeds fix the content completely."""
+    """Evaluate one cell; per-episode seeds fix the content completely.
+
+    With ``cfg.record_trace`` and a ``trace_path``, one JSON row per
+    episode and epoch goes there, read from the episode records.
+    """
     tkey = topo_key if topo_key is not None else "custom"
     pkey = policy_key(policy_spec)
     t0 = time.perf_counter()
-    jobs = [(topology, policy_spec, cfg.params.buffer, delta_t, cfg.horizon,
-             cfg.params, episode_seed(cfg.seed, tkey, pkey, delta_t, e),
-             cfg.engine, cfg.record_trace)
-            for e in range(cfg.episodes)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            outs = list(pool.map(_episode_cell_job, jobs, chunksize=4))
-    else:
-        outs = [_episode_cell_job(j) for j in jobs]
-    totals = [o[0] for o in outs]
+    run = partial(run_episode, topology, make_policy(policy_spec, cfg.params.buffer),
+                  cfg.horizon, delta_t, cfg.params, engine=cfg.engine)
+    seeds = [episode_seed(cfg.seed, tkey, pkey, delta_t, e) for e in range(cfg.episodes)]
+    results = parallel_map(run, seeds, cfg.workers)
+    totals = [r.total_drops for r in results]
     seconds = time.perf_counter() - t0
     if trace_path is not None and cfg.record_trace:
         with open(trace_path, "w") as fh:
-            for e, (_, trace) in enumerate(outs):
-                for row in trace:
-                    fh.write(json.dumps({"episode": e, **row}, sort_keys=True) + "\n")
+            for e, r in enumerate(results):
+                for t in range(cfg.horizon):
+                    row = {"episode": e, "epoch": t, "rate": float(r.rates[t]),
+                           "drops": int(r.drop_counts[t]),
+                           "arrivals": int(r.arrivals[t]),
+                           "services": int(r.services[t]),
+                           "distribution": r.distributions[t].tolist()}
+                    fh.write(json.dumps(row, sort_keys=True) + "\n")
     mean, half = _student_t_ci(np.asarray(totals, dtype=np.float64))
     return CellResult(tkey, pkey, float(delta_t), cfg.episodes, mean, half,
                       [float(v) for v in totals], seconds)

@@ -25,6 +25,16 @@ __all__ = [
 ]
 
 
+def checked_offload(offload, n_nodes: int) -> np.ndarray:
+    """``offload`` as floats, one probability in [0, 1] per node (NaN fails)."""
+    a = np.asarray(offload, dtype=np.float64)
+    if a.shape != (n_nodes,):
+        raise ValueError("offload must have one entry per node")
+    if not np.all((a >= 0.0) & (a <= 1.0)):
+        raise ValueError("offload probabilities must lie in [0, 1]")
+    return a
+
+
 def effective_rates(topology, offload, base_rate: float) -> np.ndarray:
     """Per-queue arrival rates induced by offload probabilities.
 
@@ -39,11 +49,7 @@ def effective_rates(topology, offload, base_rate: float) -> np.ndarray:
     base_rate on regular graphs whenever every share is a dyadic multiple
     of the offload value (degrees 2, 3 and 4 in particular).
     """
-    a = np.asarray(offload, dtype=np.float64)
-    if a.shape != (topology.n_nodes,):
-        raise ValueError("offload must have one entry per node")
-    if np.any(a < 0.0) or np.any(a > 1.0):
-        raise ValueError("offload probabilities must lie in [0, 1]")
+    a = checked_offload(offload, topology.n_nodes)
     deg = topology.degrees
     a = np.where(deg > 0, a, 0.0)
     share = np.divide(a, deg, out=np.zeros_like(a), where=deg > 0)

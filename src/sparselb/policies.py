@@ -29,6 +29,7 @@ __all__ = [
     "SedPolicy",
     "StaticZetaPolicy",
     "MfrPolicy",
+    "observations",
     "threshold_zeta",
     "make_policy",
 ]
@@ -36,8 +37,6 @@ __all__ = [
 
 class _ArgminPolicy:
     """Shared machinery for jsq/sed: rowwise argmin over candidate scores."""
-
-    name = "argmin"
 
     def _scores(self, queues, topology, service_rates) -> np.ndarray:
         raise NotImplementedError
@@ -59,15 +58,11 @@ class _ArgminPolicy:
 
 
 class JsqPolicy(_ArgminPolicy):
-    name = "jsq"
-
     def _scores(self, queues, topology, service_rates):
         return queues.astype(np.float64)
 
 
 class SedPolicy(_ArgminPolicy):
-    name = "sed"
-
     def _scores(self, queues, topology, service_rates):
         if np.any(service_rates <= 0):
             raise ValueError("sed needs positive service rates")
@@ -75,16 +70,12 @@ class SedPolicy(_ArgminPolicy):
 
 
 class RndPolicy:
-    name = "rnd"
-
     def profile(self, queues, topology, service_rates) -> DecisionProfile:
         deg = topology.degrees.astype(np.float64)
         return DecisionProfile(offload=deg / (deg + 1.0))
 
 
 class OwnPolicy:
-    name = "own"
-
     def profile(self, queues, topology, service_rates) -> DecisionProfile:
         return DecisionProfile(offload=np.zeros(topology.n_nodes))
 
@@ -92,11 +83,10 @@ class OwnPolicy:
 class StaticZetaPolicy:
     """Fixed offload probabilities per own fill level, applied every epoch."""
 
-    def __init__(self, zeta, name: str = "static"):
+    def __init__(self, zeta):
         self.zeta = np.asarray(zeta, dtype=np.float64)
         if np.any(self.zeta < 0) or np.any(self.zeta > 1):
             raise ValueError("offload probabilities must lie in [0, 1]")
-        self.name = name
 
     def profile(self, queues, topology, service_rates) -> DecisionProfile:
         q = np.asarray(queues, dtype=np.int64)
@@ -112,50 +102,55 @@ def threshold_zeta(buffer: int) -> np.ndarray:
     return z
 
 
+def observations(queues, topology, buffer: int, mode: str) -> np.ndarray:
+    """What a learned policy observes of the queue fills.
+
+    ``global`` is the systemwide fill distribution, shape (buffer+1,);
+    ``neighborhood`` (each scheduler's neighbor fill distribution) and
+    ``ownstate`` (one-hot own fill) have one row per scheduler.
+    """
+    q = np.asarray(queues, dtype=np.int64)
+    if mode == "global":
+        return empirical_distribution(q, buffer)
+    n, m = topology.n_nodes, buffer + 1
+    if mode == "ownstate":
+        obs = np.zeros((n, m))
+        obs[np.arange(n), q] = 1.0
+        return obs
+    if mode == "neighborhood":
+        # count (scheduler, neighbor fill) pairs; padding slots weigh 0
+        cells = (np.arange(n) * m)[:, None] + q[topology.padded_neighbors]
+        counts = np.bincount(cells.ravel(), weights=topology.padded_mask.ravel(),
+                             minlength=n * m).reshape(n, m)
+        deg = topology.degrees
+        obs = counts / np.maximum(deg, 1)[:, None]
+        # an isolated scheduler falls back to its own fill level
+        lone = np.flatnonzero(deg == 0)
+        obs[lone, q[lone]] = 1.0
+        return obs
+    raise ValueError(f"unknown observation_mode {mode!r}")
+
+
 class MfrPolicy:
     """Learned policy evaluated deterministically.
 
-    Observation handling follows the parameters' observation_mode:
-    ``global`` feeds the systemwide fill distribution through the network
-    once and broadcasts the resulting offload table; ``neighborhood`` and
-    ``ownstate`` build one observation per scheduler (neighbor fill
-    distribution resp. one-hot own fill) for decentralized execution.
+    The network reads ``observations`` in the parameters' observation_mode:
+    in ``global`` mode it runs once and its offload table is broadcast; in
+    ``neighborhood`` and ``ownstate`` mode every scheduler applies the
+    output for its own row, for decentralized execution.
     """
 
-    def __init__(self, params: PolicyParameters, name: str = "mfr"):
+    def __init__(self, params: PolicyParameters):
         if params.layer_sizes[0] != params.buffer + 1:
             raise ValueError(
                 f"policy network takes {params.layer_sizes[0]} inputs but MfrPolicy "
                 f"feeds {params.buffer + 1} fill fractions; networks trained with "
                 "observe_rate=True also read the arrival rate and cannot run here")
         self.params = params
-        self.name = name
 
     def observations(self, queues, topology) -> np.ndarray:
-        b = self.params.buffer
-        q = np.asarray(queues, dtype=np.int64)
-        mode = self.params.observation_mode
-        if mode == "global":
-            return empirical_distribution(q, b)
-        n = topology.n_nodes
-        if mode == "ownstate":
-            obs = np.zeros((n, b + 1))
-            obs[np.arange(n), q] = 1.0
-            return obs
-        if mode == "neighborhood":
-            obs = np.zeros((n, b + 1))
-            pad = topology.padded_neighbors
-            for c in range(pad.shape[1]):
-                rows = np.flatnonzero(topology.padded_mask[:, c])
-                np.add.at(obs, (rows, q[pad[rows, c]]), 1.0)
-            deg = topology.degrees
-            has = deg > 0
-            obs[has] /= deg[has, None]
-            # an isolated scheduler falls back to its own fill level
-            lone = np.flatnonzero(~has)
-            obs[lone, q[lone]] = 1.0
-            return obs
-        raise ValueError(f"unknown observation_mode {mode!r}")
+        return observations(queues, topology, self.params.buffer,
+                            self.params.observation_mode)
 
     def profile(self, queues, topology, service_rates) -> DecisionProfile:
         q = np.asarray(queues, dtype=np.int64)
@@ -181,13 +176,12 @@ def make_policy(spec, buffer: int):
     if kind == "own":
         return OwnPolicy()
     if kind == "threshold":
-        return StaticZetaPolicy(threshold_zeta(buffer), name="threshold")
+        return StaticZetaPolicy(threshold_zeta(buffer))
     if kind == "static":
         return StaticZetaPolicy(np.asarray(spec["zeta"], dtype=np.float64))
     if kind == "mfr":
         params = load_policy_parameters(spec["checkpoint"])
         if params.buffer != buffer:
             raise ValueError("checkpoint buffer size differs from the experiment")
-        name = spec.get("name", "mfr")
-        return MfrPolicy(params, name=name)
+        return MfrPolicy(params)
     raise ValueError(f"unknown policy {spec!r}")

@@ -19,7 +19,7 @@ Two engines produce samples of the same law:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,13 +103,14 @@ class EpochOutcome:
 
 @dataclass
 class EpisodeResult:
-    drop_counts: np.ndarray        # (T,) packets dropped system-wide per epoch
-    mean_drops_per_epoch: np.ndarray  # (T,) drop_counts / n_nodes
-    total_drops: float             # sum of mean_drops_per_epoch (episode objective)
-    distributions: np.ndarray      # (T+1, buffer+1) empirical queue distribution
+    """Per-epoch system totals of one episode of T epochs."""
+
+    drop_counts: np.ndarray        # (T,) packets dropped
+    arrivals: np.ndarray           # (T,) packets arrived, dropped ones included
+    services: np.ndarray           # (T,) packets served
     rates: np.ndarray              # (T,) shared arrival rate during each epoch
-    seed: object = None
-    trace: list = field(default_factory=list)
+    distributions: np.ndarray      # (T+1, buffer+1) empirical queue distribution
+    total_drops: float             # sum of drop_counts / n (episode objective)
 
 
 def empirical_distribution(queues, buffer: int) -> np.ndarray:
@@ -192,7 +193,8 @@ def _gillespie_epoch(queues, profile: DecisionProfile, topology, base_rate: floa
     services = np.zeros(n, dtype=np.int64)
     if profile.offload is not None:
         # degree-0 schedulers have nowhere to forward
-        off = np.where(topology.degrees > 0, np.asarray(profile.offload, float), 0.0)
+        off = np.where(topology.degrees > 0,
+                       _kernel.checked_offload(profile.offload, topology.n_nodes), 0.0)
     lam_total = n * base_rate
     t = 0.0
     while True:
@@ -234,8 +236,6 @@ def run_epoch(queues, profile, topology, base_rate: float, service_rates,
               buffer: int, delta_t: float, rng: np.random.Generator,
               engine: str = "bank") -> EpochOutcome:
     """Advance the whole network by one epoch under a frozen profile."""
-    if isinstance(profile, np.ndarray):
-        profile = DecisionProfile(offload=profile)
     if delta_t <= 0.0:
         raise ValueError("delta_t must be positive")
     if profile.targets is not None:
@@ -317,8 +317,7 @@ class Episode:
 
 
 def run_episode(topology, policy, horizon: int, delta_t: float,
-                params: SystemParams, seed, engine: str = "bank",
-                record_trace: bool = False) -> EpisodeResult:
+                params: SystemParams, seed, engine: str = "bank") -> EpisodeResult:
     """Run one episode of ``horizon`` epochs under a fixed policy.
 
     ``policy`` supplies a frozen DecisionProfile from the queue snapshot at
@@ -326,34 +325,16 @@ def run_episode(topology, policy, horizon: int, delta_t: float,
     """
     ep = Episode(topology, params, delta_t, engine)
     ep.reset(seed)
-    n = topology.n_nodes
     b = params.buffer
-    drop_counts = np.zeros(horizon, dtype=np.int64)
+    counts = np.zeros((3, horizon), dtype=np.int64)    # drops, arrivals, services
     rates = np.zeros(horizon)
     dists = np.zeros((horizon + 1, b + 1))
-    trace: list = []
     for t in range(horizon):
         dists[t] = empirical_distribution(ep.queues, b)
-        rate = rates[t] = ep.rate
+        rates[t] = ep.rate
         out = ep.advance(policy.profile(ep.queues, topology, ep.service_rates))
-        drop_counts[t] = int(out.drops.sum())
-        if record_trace:
-            trace.append({
-                "epoch": t,
-                "rate": rate,
-                "drops": int(out.drops.sum()),
-                "arrivals": int(out.arrivals.sum()),
-                "services": int(out.services.sum()),
-                "distribution": dists[t].tolist(),
-            })
+        counts[:, t] = out.drops.sum(), out.arrivals.sum(), out.services.sum()
     dists[horizon] = empirical_distribution(ep.queues, b)
-    mean_drops = drop_counts / n
-    return EpisodeResult(
-        drop_counts=drop_counts,
-        mean_drops_per_epoch=mean_drops,
-        total_drops=float(mean_drops.sum()),
-        distributions=dists,
-        rates=rates,
-        seed=None if isinstance(seed, np.random.Generator) else seed,
-        trace=trace,
-    )
+    drops, arrivals, services = counts
+    return EpisodeResult(drops, arrivals, services, rates, dists,
+                         total_drops=float((drops / topology.n_nodes).sum()))

@@ -12,14 +12,14 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .env import LoadBalanceEnv
 from .nn import STD_FLOOR, Mlp, PolicyParameters, save_policy_parameters, sigmoid
-from .seeding import derive_seed
+from .seeding import derive_seed, parallel_map
 from .simulator import SystemParams
 
 __all__ = [
@@ -131,8 +131,7 @@ def _rollout(env: LoadBalanceEnv, net: Mlp, seed, sigma=None, explore=None):
             np.asarray(mu_list), np.asarray(rew_list))
 
 
-def _episode_rollout(job):
-    topology, params, delta_t, horizon, cfg, policy, ep_seed = job
+def _episode_rollout(topology, params, delta_t, horizon, cfg, policy, ep_seed):
     env = _make_env(topology, params, delta_t, horizon, cfg)
     explore = np.random.default_rng(derive_seed(ep_seed, "explore"))
     return _rollout(env, policy.mlp(), ep_seed, policy.std, explore)
@@ -147,13 +146,9 @@ def collect_batch(topology, params: SystemParams, delta_t: float, horizon: int,
     is identical for any worker count.
     """
     episodes = max(1, math.ceil(cfg.batch_size / horizon))
-    jobs = [(topology, params, delta_t, horizon, cfg, policy,
-             derive_seed(seed, "episode", e)) for e in range(episodes)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rolls = list(pool.map(_episode_rollout, jobs))
-    else:
-        rolls = [_episode_rollout(j) for j in jobs]
+    rolls = parallel_map(
+        partial(_episode_rollout, topology, params, delta_t, horizon, cfg, policy),
+        [derive_seed(seed, "episode", e) for e in range(episodes)], cfg.workers)
     starts = np.cumsum([0] + [r[0].shape[0] for r in rolls[:-1]])
     obs = np.concatenate([r[0] for r in rolls])
     actions = np.concatenate([r[1] for r in rolls])

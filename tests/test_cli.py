@@ -149,6 +149,11 @@ def test_train_method_from_config_block(tmp_path, capsys):
     rc = main(["train", "--config", cfg, "--out", str(tmp_path / "r")])
     assert rc == 0
     assert "trained cem for 2 iterations" in capsys.readouterr().out
+    # the block's "method" is not a config key of the flag's method
+    rc = main(["train", "--config", cfg, "--method", "cem", "--iterations", "1",
+               "--out", str(tmp_path / "r2")])
+    assert rc == 0
+    assert "trained cem for 1 iterations" in capsys.readouterr().out
 
 
 def test_evaluate_policy_flag_selects_configured_spec(tmp_path, capsys):

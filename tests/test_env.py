@@ -82,7 +82,7 @@ def test_env_matches_run_episode():
     rewards = []
     while not env.done:
         rewards.append(env.step(zeta).reward)
-    assert np.array_equal(np.asarray(rewards), -res.mean_drops_per_epoch)
+    assert np.array_equal(np.asarray(rewards), -res.drop_counts / topo.n_nodes)
 
 
 def test_env_accepts_generator_seed():

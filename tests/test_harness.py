@@ -6,10 +6,12 @@ import time
 import numpy as np
 import pytest
 
+from sparselb import nn, policies
 from sparselb.harness import (CellResult, ExperimentConfig, bethe_ablation,
                               build_topology, compare_ranking, episode_seed,
                               evaluate, policy_key, read_results_csv, sweep,
                               topology_key, write_results, _student_t_ci)
+from sparselb.nn import PolicyParameters, save_policy_parameters
 from sparselb.simulator import SystemParams
 from sparselb.topology import build_cyc1d, save_edge_list
 
@@ -200,6 +202,24 @@ def test_config_rejects_unknown_keys():
         "workers": 1, "engine": "bank", "record_trace": False,
         "params": {"buffer": 3}, "trainer": {"epochs": 1}})
     assert cfg.episodes == 2 and cfg.params.buffer == 3
+    assert cfg.trainer == {"epochs": 1}
+
+
+def test_mfr_cell_reads_checkpoint_once(tmp_path, monkeypatch):
+    # a cell builds its policy once, not once per episode
+    path = tmp_path / "ckpt.json"
+    save_policy_parameters(
+        PolicyParameters.init(buffer=5, hidden=(4,), rng=np.random.default_rng(2)), path)
+    loads = []
+
+    def counting_load(p):
+        loads.append(p)
+        return nn.load_policy_parameters(p)
+    monkeypatch.setattr(policies, "load_policy_parameters", counting_load)
+    cell = evaluate(build_cyc1d(9), {"kind": "mfr", "checkpoint": str(path)}, 1.0,
+                    small_cfg(episodes=4), "cyc1d[n=9]")
+    assert len(cell.per_episode) == 4
+    assert loads == [str(path)]
 
 
 def test_trace_written_when_requested(tmp_path):

@@ -232,11 +232,6 @@ def test_make_policy_checkpoint_round_trip(tmp_path):
         make_policy({"kind": "mfr", "checkpoint": str(path)}, 3)
 
 
-def test_policies_have_names():
-    for pol in (JsqPolicy(), SedPolicy(), RndPolicy(), OwnPolicy()):
-        assert isinstance(pol.name, str) and pol.name
-
-
 def test_policy_episode_ordering_sanity():
     # a quick physical check: greedy routing beats blind routing when
     # decisions are frequent

@@ -131,10 +131,20 @@ def test_run_epoch_rejects_bad_targets(engine):
     assert out.arrivals[2] == 0
 
 
+@pytest.mark.parametrize("engine", ["bank", "reference"])
+def test_run_epoch_rejects_bad_offload(engine):
+    topo = build_cyc1d(4)
+    for bad in (np.array([0.2, 1.5, 0.0, -0.3]), np.array([0.2, np.nan, 0.0, 0.0]),
+                np.full(3, 0.5), np.full((1, 4), 0.5)):
+        with pytest.raises(ValueError, match="offload"):
+            run_epoch(np.zeros(4, dtype=int), DecisionProfile(offload=bad), topo,
+                      0.9, np.ones(4), 5, 1.0, np.random.default_rng(0), engine)
+
+
 def test_offload_array_accepted_directly():
     topo = build_cyc1d(4)
-    out = run_epoch(np.zeros(4, dtype=int), np.full(4, 0.5), topo, 0.9,
-                    np.ones(4), 5, 1.0, np.random.default_rng(1))
+    out = run_epoch(np.zeros(4, dtype=int), DecisionProfile(offload=np.full(4, 0.5)),
+                    topo, 0.9, np.ones(4), 5, 1.0, np.random.default_rng(1))
     assert np.all(out.next_queues >= 0)
 
 
@@ -235,8 +245,9 @@ def test_run_episode_shapes_and_totals():
     assert res.drop_counts.shape == (50,)
     assert res.distributions.shape == (51, 6)
     assert np.allclose(res.distributions.sum(axis=1), 1.0)
-    assert res.total_drops == pytest.approx(res.mean_drops_per_epoch.sum())
-    assert np.array_equal(res.mean_drops_per_epoch * 9, res.drop_counts)
+    for per_epoch in (res.arrivals, res.services, res.rates):
+        assert per_epoch.shape == (50,)
+    assert res.total_drops == float((res.drop_counts / 9).sum())
     assert set(np.unique(res.rates)) <= {0.6, 0.9}
     assert res.distributions[0, 0] == 1.0  # starts empty
 
@@ -253,13 +264,15 @@ def test_run_episode_deterministic():
 
 
 def test_run_episode_trace():
+    # the per-epoch record balances: arrivals = drops + services + the
+    # change of the total queue content read from the distributions
     topo = build_cyc1d(5)
     res = run_episode(topo, StaticZetaPolicy(threshold_zeta(5)), 8, 1.0,
-                      SystemParams(), seed=1, record_trace=True)
-    assert len(res.trace) == 8
-    row = res.trace[0]
-    assert set(row) == {"epoch", "rate", "drops", "arrivals", "services",
-                        "distribution"}
+                      SystemParams(), seed=1)
+    content = np.rint(5 * res.distributions @ np.arange(6)).astype(np.int64)
+    assert np.array_equal(res.arrivals - res.drop_counts - res.services,
+                          np.diff(content))
+    assert res.arrivals.sum() > 0 and res.services.sum() > 0
 
 
 def test_init_queues_start_distribution():
