@@ -132,7 +132,24 @@ def profile_rates(profile: DecisionProfile, topology, base_rate: float) -> np.nd
     return _kernel.effective_rates(topology, profile.offload, base_rate)
 
 
+def checked_queues(queues, buffer: int, *rates) -> tuple:
+    """Start fills as a fresh int64 vector in {0..buffer}, then ``rates`` as
+    float vectors of the same length; anything else raises ValueError."""
+    q = np.asarray(queues)
+    if q.ndim != 1 or not np.issubdtype(q.dtype, np.integer) \
+            or (q.size and (q.min() < 0 or q.max() > buffer)):
+        raise ValueError(f"queues must be a vector of integer fills in {{0..{buffer}}}")
+    rates = tuple(np.asarray(r, dtype=np.float64) for r in rates)
+    if any(r.shape != q.shape for r in rates):
+        raise ValueError(f"need one rate per queue ({q.size})")
+    return (q.astype(np.int64), *rates)
+
+
 # ---- default engine: independent per-queue birth-death bank ----
+
+
+# Rows of uniforms drawn at once: a (CHUNK, n) block, whatever the tick count.
+CHUNK = 16
 
 
 def simulate_queue_bank(queues, arrival_rates, service_rates, buffer: int,
@@ -143,40 +160,52 @@ def simulate_queue_bank(queues, arrival_rates, service_rates, buffer: int,
     tick is an arrival with the arrival fraction (dropped when the queue
     is full) and otherwise a service attempt (a no-op on an empty queue).
     Ticks are Poisson, so arrivals per queue are Poisson at the arrival
-    rate and the skeleton walk is processed tick-by-tick vectorized over
-    all queues.
+    rate.  The random stream is the tick counts, then one uniform per
+    (tick, queue) in row-major (kmax, n) order, drawn in blocks of CHUNK
+    rows.  The queues are sorted by tick count, descending, so tick s walks
+    only the prefix of queues that still have one; the walk is
+    ``clip(q + step, 0, buffer)`` with step +1 for an arrival and -1 for a
+    service attempt, and a step that lands above the buffer is a drop, one
+    below zero an idle service attempt.
 
     Returns (next_queues, drops, arrivals, services).
     """
-    q = np.asarray(queues, dtype=np.int64).copy()
-    lam = np.asarray(arrival_rates, dtype=np.float64)
-    mu = np.asarray(service_rates, dtype=np.float64)
+    q, lam, mu = checked_queues(queues, buffer, arrival_rates, service_rates)
     n = q.size
     total = lam + mu
-    drops = np.zeros(n, dtype=np.int64)
-    arrivals = np.zeros(n, dtype=np.int64)
-    services = np.zeros(n, dtype=np.int64)
     counts = rng.poisson(total * delta_t)
     kmax = int(counts.max()) if n else 0
     if kmax == 0:
-        return q, drops, arrivals, services
+        return q, *np.zeros((3, n), dtype=np.int64)
     p_arrive = np.divide(lam, total, out=np.zeros_like(lam), where=total > 0)
-    u = rng.random((kmax, n))
-    one = np.int64(1)
-    for s in range(kmax):
-        live = counts > s
-        arr = live & (u[s] < p_arrive)
-        svc = live & ~arr
-        full = q >= buffer
-        hit = arr & full
-        grow = arr & ~full
-        shrink = svc & (q > 0)
-        np.add(drops, one, out=drops, where=hit)
-        np.add(arrivals, one, out=arrivals, where=arr)
-        np.add(services, one, out=services, where=shrink)
-        np.add(q, one, out=q, where=grow)
-        np.subtract(q, one, out=q, where=shrink)
-    return q, drops, arrivals, services
+    # descending tick counts; a stable sort of small unsigned keys is a radix sort
+    order = np.argsort((kmax - counts).astype(np.min_scalar_type(kmax)), kind="stable")
+    ticks = counts[order]
+    live_n = n - np.cumsum(np.bincount(counts))[:kmax]    # queues with a tick s
+    # smallest signed dtype that holds -1..buffer+1 (int8 up to buffer 126):
+    # its minimum is -(buffer + 2) or lower exactly when buffer + 1 fits
+    walk = np.min_scalar_type(-(buffer + 2))
+    lo, hi = walk.type(0), walk.type(buffer)
+    z = q[order].astype(walk)
+    tally = np.zeros((3, n), dtype=np.int64)              # drops, arrivals, idle
+    for s0 in range(0, kmax, CHUNK):
+        c = min(CHUNK, kmax - s0)
+        m0 = int(live_n[s0])
+        arrive = (rng.random((c, n)) < p_arrive)[:, order[:m0]]
+        arrive &= np.arange(s0, s0 + c)[:, None] < ticks[:m0]
+        step = 2 * arrive.astype(walk) - 1                # +1 arrival, -1 service attempt
+        t = np.zeros((c, m0), dtype=walk)                 # q + step; 0 after a queue's last tick
+        for r in range(c):
+            m = live_n[s0 + r]
+            np.add(z[:m], step[r, :m], out=t[r, :m])
+            t[r, :m].clip(lo, hi, out=z[:m])
+        for row, hits in zip(tally, (t > hi, arrive, t < lo)):
+            row[:m0] += hits.view(np.int8).sum(axis=0, dtype=np.int8)
+    out = np.empty((4, n), dtype=np.int64)               # back in input order
+    out[0, order] = z
+    out[1:, order] = tally
+    nq, drops, arrivals, idle = out
+    return nq, drops, arrivals, counts - arrivals - idle
 
 
 # ---- reference engine: literal global clock race ----
@@ -185,9 +214,8 @@ def simulate_queue_bank(queues, arrival_rates, service_rates, buffer: int,
 def _gillespie_epoch(queues, profile: DecisionProfile, topology, base_rate: float,
                      service_rates, buffer: int, delta_t: float,
                      rng: np.random.Generator, holding_out: list | None = None):
-    q = np.asarray(queues, dtype=np.int64).copy()
+    q, mu = checked_queues(queues, buffer, service_rates)
     n = q.size
-    mu = np.asarray(service_rates, dtype=np.float64)
     drops = np.zeros(n, dtype=np.int64)
     arrivals = np.zeros(n, dtype=np.int64)
     services = np.zeros(n, dtype=np.int64)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,8 @@ from scipy import stats
 
 from sparselb.kernel import effective_rates, epoch_law_table, expected_drops_table
 from sparselb.policies import OwnPolicy, RndPolicy, StaticZetaPolicy, threshold_zeta
-from sparselb.simulator import (DecisionProfile, EpochOutcome, Episode, SystemParams,
-                                empirical_distribution, init_queues,
+from sparselb.simulator import (CHUNK, DecisionProfile, EpochOutcome, Episode,
+                                SystemParams, empirical_distribution, init_queues,
                                 profile_rates, run_epoch, run_episode,
                                 simulate_queue_bank)
 from sparselb.simulator import _gillespie_epoch
@@ -139,6 +141,26 @@ def test_run_epoch_rejects_bad_offload(engine):
         with pytest.raises(ValueError, match="offload"):
             run_epoch(np.zeros(4, dtype=int), DecisionProfile(offload=bad), topo,
                       0.9, np.ones(4), 5, 1.0, np.random.default_rng(0), engine)
+
+
+@pytest.mark.parametrize("engine", ["bank", "reference"])
+def test_run_epoch_rejects_bad_start_queues(engine):
+    topo = build_cyc1d(3)
+    profile = DecisionProfile(offload=np.zeros(3))
+    for bad in ([9, -2, 3], [0, 6, 0], [0, -1, 0], np.array([0.0, 1.0, 2.0]),
+                [[0, 1, 2]], [0, 1]):
+        with pytest.raises(ValueError, match="queue"):
+            run_epoch(bad, profile, topo, 0.5, np.ones(3), 5, 3.0,
+                      np.random.default_rng(0), engine)
+    for mu in (1.0, np.ones(2)):
+        with pytest.raises(ValueError, match="rate per queue"):
+            run_epoch([0, 1, 2], profile, topo, 0.5, mu, 5, 3.0,
+                      np.random.default_rng(0), engine)
+    if engine == "bank":
+        for lam in (0.5, [0.5] * 2, [[0.5] * 3]):
+            with pytest.raises(ValueError, match="rate per queue"):
+                simulate_queue_bank([0, 1, 2], lam, [1.0] * 3, 5, 3.0,
+                                    np.random.default_rng(0))
 
 
 def test_offload_array_accepted_directly():
@@ -335,3 +357,105 @@ def test_episode_conserves_packets_per_queue(system):
             assert np.all(out.drops <= out.arrivals)
             assert ep.queues is out.next_queues
         assert ep.epoch == len(profiles)
+
+
+def bank_oracle(queues, arrival_rates, service_rates, buffer, delta_t, rng):
+    """Frozen copy of the original bank loop: every tick masks all n queues."""
+    q = np.asarray(queues, dtype=np.int64).copy()
+    lam = np.asarray(arrival_rates, dtype=np.float64)
+    mu = np.asarray(service_rates, dtype=np.float64)
+    n = q.size
+    total = lam + mu
+    drops = np.zeros(n, dtype=np.int64)
+    arrivals = np.zeros(n, dtype=np.int64)
+    services = np.zeros(n, dtype=np.int64)
+    counts = rng.poisson(total * delta_t)
+    kmax = int(counts.max()) if n else 0
+    if kmax == 0:
+        return q, drops, arrivals, services
+    p_arrive = np.divide(lam, total, out=np.zeros_like(lam), where=total > 0)
+    u = rng.random((kmax, n))
+    one = np.int64(1)
+    for s in range(kmax):
+        live = counts > s
+        arr = live & (u[s] < p_arrive)
+        svc = live & ~arr
+        full = q >= buffer
+        hit = arr & full
+        grow = arr & ~full
+        shrink = svc & (q > 0)
+        np.add(drops, one, out=drops, where=hit)
+        np.add(arrivals, one, out=arrivals, where=arr)
+        np.add(services, one, out=services, where=shrink)
+        np.add(q, one, out=q, where=grow)
+        np.subtract(q, one, out=q, where=shrink)
+    return q, drops, arrivals, services
+
+
+def assert_bank_matches_oracle(queues, lam, mu, buffer, delta_t, seed):
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = simulate_queue_bank(queues, lam, mu, buffer, delta_t, rng_a)
+    want = bank_oracle(queues, lam, mu, buffer, delta_t, rng_b)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_queue_bank_matches_oracle(data):
+    n = data.draw(st.integers(1, 40))
+    buffer = data.draw(st.sampled_from([1, 2, 5, 126, 127, 128, 200]))
+    vec = st.lists(rates, min_size=n, max_size=n)
+    assert_bank_matches_oracle(
+        data.draw(st.lists(st.integers(0, buffer), min_size=n, max_size=n)),
+        data.draw(vec), data.draw(vec), buffer, data.draw(st.floats(0.01, 40.0)),
+        data.draw(st.integers(0, 2**32 - 1)))
+
+
+@pytest.mark.parametrize("buffer", [1, 5])
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("kmax", [0, 1, CHUNK, CHUNK + 1])
+def test_queue_bank_matches_oracle_at_chunk_edges(kmax, n, buffer):
+    # the first seed whose largest tick count is exactly kmax; n=7 includes a
+    # queue with no arrivals, one with no service and one with neither
+    lam = np.array([0.9, 0.0, 1.5, 0.4, 0.0, 2.0, 0.7])[:n]
+    mu = np.array([1.0, 1.0, 0.0, 0.5, 0.0, 1.0, 1.0])[:n]
+    total = lam + mu
+    delta_t = max(kmax, 0.1) / total.max()
+    seed = next(s for s in range(10_000)
+                if np.random.default_rng(s).poisson(total * delta_t).max() == kmax)
+    queues = np.random.default_rng(seed + 1).integers(0, buffer + 1, size=n)
+    assert_bank_matches_oracle(queues, lam, mu, buffer, delta_t, seed)
+
+
+@pytest.mark.parametrize("buffer", [126, 127, 128, 32766, 32767, 32768])
+def test_queue_bank_drops_at_a_full_buffer(buffer):
+    # the walk must hold buffer + 1: queues start full or one short and
+    # mostly see arrivals, so every buffer here drops on most ticks
+    queues = np.array([buffer, buffer, buffer - 1, 0, buffer])
+    lam, mu = np.array([3.0, 3.0, 3.0, 3.0, 0.0]), np.array([0.1, 0.0, 0.1, 0.1, 1.0])
+    assert_bank_matches_oracle(queues, lam, mu, buffer, 5.0, 3)
+    nq, drops, _, _ = simulate_queue_bank(queues, lam, mu, buffer, 5.0,
+                                          np.random.default_rng(3))
+    assert drops[:3].min() > 0 and nq[1] == buffer
+
+
+def test_queue_bank_memory_is_bounded_by_the_chunk():
+    # Bound, fixed before measuring: one block of CHUNK rows holds the
+    # float64 uniforms and their bool comparison (9 bytes an entry) and at
+    # most 7 bytes an entry of int8/bool blocks over the live queues, so
+    # 16 * CHUNK * n bytes; the per-queue vectors (rates, tick counts, sort
+    # order, tallies, outputs) stay under 256 * n bytes.  At dt=200 the mean
+    # tick count is 380, so one (kmax, n) float64 draw alone would be ~6 MB.
+    n, delta_t = 2000, 200.0
+    bound = 16 * CHUNK * n + 256 * n
+    queues, lam, mu = np.zeros(n, dtype=np.int64), np.full(n, 0.9), np.ones(n)
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        simulate_queue_bank(queues, lam, mu, 5, delta_t, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
