@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
-from scipy import stats as _stats
 
 from . import topology as topo_mod
 from .policies import make_policy
@@ -174,8 +173,11 @@ def _student_t_ci(x: np.ndarray, level: float = 0.95) -> tuple:
     mean = float(x.mean())
     if x.size < 2:
         return mean, 0.0
+    # imported here, so that importing the package does not load scipy
+    from scipy import stats
+
     sem = float(x.std(ddof=1) / np.sqrt(x.size))
-    tcrit = float(_stats.t.ppf(0.5 + level / 2.0, x.size - 1))
+    tcrit = float(stats.t.ppf(0.5 + level / 2.0, x.size - 1))
     return mean, tcrit * sem
 
 

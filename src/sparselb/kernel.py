@@ -4,10 +4,11 @@ With decision rules frozen for an epoch, each queue evolves as an
 independent birth-death chain on {0, ..., B}: packets arrive at the queue's
 effective rate and leave at its service rate.  This module builds the
 generator of that chain, computes the exact epoch transition law through
-the matrix exponential (scipy.linalg.expm), and computes the expected
-number of dropped packets via an augmented absorbing counter state.  Both
-tables are stacked: they take arrays of (arrival, service) rate pairs and
-cover all of them with one exponential.
+the matrix exponential, and computes the expected number of dropped
+packets via an augmented absorbing counter state.  Both tables are
+stacked: they take arrays of (arrival, service) rate pairs and cover all
+of them with one call of ``_expm_nonneg``, a batched exponential that
+works on the whole stack at once in nonnegative arithmetic.
 
 Conventions: generators are column-oriented, Q[i, j] is the rate from
 state j to state i, so columns sum to zero and the epoch law is
@@ -15,8 +16,9 @@ exp(Q * dt) applied to a basis vector.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "effective_rates",
@@ -75,7 +77,7 @@ def _augmented_generators(arrival_rates, service_rates, buffer: int,
     generator; the last row is an absorbing counter fed at the arrival
     rate from the full state, so its mass after one epoch is the expected
     drop count.  The epoch length is only validated here; callers scale
-    by it.
+    by it.  Rates, the epoch length and their products must be finite.
     """
     lam = np.asarray(arrival_rates, dtype=np.float64).reshape(-1)
     mu = np.asarray(service_rates, dtype=np.float64).reshape(-1)
@@ -85,8 +87,14 @@ def _augmented_generators(arrival_rates, service_rates, buffer: int,
         raise ValueError("rates must be nonnegative")
     if buffer < 1:
         raise ValueError("buffer must be >= 1")
-    if not epoch_length > 0.0:
-        raise ValueError("epoch_length must be positive")
+    if not (epoch_length > 0.0 and math.isfinite(epoch_length)):
+        raise ValueError("epoch_length must be positive and finite")
+    # twice the largest scaled rate bounds every column sum _expm_nonneg
+    # takes the logarithm of, so that sum must stay finite
+    with np.errstate(over="ignore"):
+        bound = 2.0 * (lam + mu) * epoch_length
+    if not np.all(np.isfinite(bound)):
+        raise ValueError("rates times epoch_length must be finite")
     m = buffer + 1
     fill = np.arange(buffer)
     aug = np.zeros((lam.size, m + 1, m + 1))
@@ -98,6 +106,49 @@ def _augmented_generators(arrival_rates, service_rates, buffer: int,
     return aug
 
 
+# Taylor degree of _expm_nonneg; see its docstring for the truncation bound.
+_TAYLOR_DEGREE = 18
+
+
+def _expm_nonneg(a: np.ndarray) -> np.ndarray:
+    """exp of every slice of a (k, m, m) stack with nonnegative off-diagonals.
+
+    Each slice i is shifted to N_i = A_i + c_i I with c_i = max(-diag A_i),
+    so N_i >= 0 entrywise, and scaled to X_i = N_i / 2^s_i with
+    s_i = ceil(log2 ||N_i||_1), floored at ceil(log2(m - 1)); so
+    ||X_i||_1 <= 1.  The degree-18 Taylor polynomial of exp(X_i), by
+    Horner, then misses sum_{k >= 19} X_i^k / k!, whose 1-norm is at most
+    sum_{k >= 19} 1/k! < 8.7e-18: relative to ||exp(X_i)||_1 >= 1, below
+    the float64 rounding unit 2^-53.  The floor makes 2^s_i at least the
+    longest path between two states (m - 1 steps), so each of the 2^s_i
+    factors of the result carries about one step of it; without it, an
+    entry more than 18 states away from its column's state would come out
+    0 at small norms.  The polynomial is multiplied by exp(-c_i / 2^s_i)
+    and squared s_i times: the whole stack is squared together, and
+    np.where keeps the slices that are done.
+
+    All arithmetic is on nonnegative numbers, so entries come out >= 0,
+    and slice i never depends on the other slices.  Entries must be
+    finite.
+    """
+    m = a.shape[1]
+    diag = np.arange(m)
+    shift = -a[:, diag, diag].min(axis=1)
+    n = a.copy()
+    n[:, diag, diag] += shift[:, None]
+    mantissa, exponent = np.frexp(n.sum(axis=1).max(axis=1))
+    s = np.maximum(exponent - (mantissa == 0.5), math.ceil(math.log2(m - 1)))
+    x = np.ldexp(n, -s[:, None, None])
+    eye = np.eye(m)
+    p = eye + x / _TAYLOR_DEGREE
+    for j in range(_TAYLOR_DEGREE - 1, 0, -1):
+        p = eye + (x @ p) / j
+    p *= np.exp(-np.ldexp(shift, -s))[:, None, None]
+    for r in range(int(s.max(initial=0))):
+        p = np.where((s > r)[:, None, None], p @ p, p)
+    return p
+
+
 def epoch_law_table(arrival_rates, service_rates, buffer: int,
                     epoch_length: float) -> np.ndarray:
     """Epoch transition laws, shape (k, B+1, B+1).
@@ -107,7 +158,7 @@ def epoch_law_table(arrival_rates, service_rates, buffer: int,
     distribution of the queue length after one epoch from start state s.
     """
     aug = _augmented_generators(arrival_rates, service_rates, buffer, epoch_length)
-    return expm(aug[:, :-1, :-1] * epoch_length)
+    return _expm_nonneg(aug[:, :-1, :-1] * epoch_length)
 
 
 def expected_drops_table(arrival_rates, service_rates, buffer: int,
@@ -119,5 +170,5 @@ def expected_drops_table(arrival_rates, service_rates, buffer: int,
     covers all pairs.
     """
     aug = _augmented_generators(arrival_rates, service_rates, buffer, epoch_length)
-    return expm(aug * epoch_length)[:, buffer + 1, :buffer + 1]
+    return _expm_nonneg(aug * epoch_length)[:, buffer + 1, :buffer + 1]
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .nn import PolicyParameters, load_policy_parameters, policy_zeta
-from .simulator import DecisionProfile, empirical_distribution
+from .simulator import DecisionProfile, checked_queues, empirical_distribution
 
 __all__ = [
     "JsqPolicy",
@@ -109,9 +109,9 @@ def observations(queues, topology, buffer: int, mode: str) -> np.ndarray:
     ``neighborhood`` (each scheduler's neighbor fill distribution) and
     ``ownstate`` (one-hot own fill) have one row per scheduler.
     """
-    q = np.asarray(queues, dtype=np.int64)
     if mode == "global":
-        return empirical_distribution(q, buffer)
+        return empirical_distribution(queues, buffer)
+    q, = checked_queues(queues, buffer)
     n, m = topology.n_nodes, buffer + 1
     if mode == "ownstate":
         obs = np.zeros((n, m))

@@ -115,11 +115,9 @@ class EpisodeResult:
 
 def empirical_distribution(queues, buffer: int) -> np.ndarray:
     """Fraction of queues at each fill level 0..buffer."""
-    q = np.asarray(queues, dtype=np.int64)
+    q, = checked_queues(queues, buffer)
     if q.size == 0:
         raise ValueError("need at least one queue")
-    if q.min() < 0 or q.max() > buffer:
-        raise ValueError("queue lengths outside {0..buffer}")
     return np.bincount(q, minlength=buffer + 1) / q.size
 
 
@@ -136,13 +134,18 @@ def checked_queues(queues, buffer: int, *rates) -> tuple:
     """Start fills as a fresh int64 vector in {0..buffer}, then ``rates`` as
     float vectors of the same length; anything else raises ValueError."""
     q = np.asarray(queues)
-    if q.ndim != 1 or not np.issubdtype(q.dtype, np.integer) \
-            or (q.size and (q.min() < 0 or q.max() > buffer)):
+    ok = q.ndim == 1 and q.dtype.kind in "iu"
+    if ok:
+        q = q.astype(np.int64)
+        # read as unsigned, a negative fill lies above any buffer, so one
+        # reduction checks both bounds (this runs every epoch and observation)
+        ok = q.size == 0 or q.view(np.uint64).max() <= buffer
+    if not ok:
         raise ValueError(f"queues must be a vector of integer fills in {{0..{buffer}}}")
     rates = tuple(np.asarray(r, dtype=np.float64) for r in rates)
     if any(r.shape != q.shape for r in rates):
         raise ValueError(f"need one rate per queue ({q.size})")
-    return (q.astype(np.int64), *rates)
+    return (q, *rates)
 
 
 # ---- default engine: independent per-queue birth-death bank ----

@@ -196,6 +196,66 @@ def test_expected_drops_table_matches_scalar():
             assert np.array_equal(drops[i], expected_drops_table(lam[i], mu[i], b, dt)[0])
 
 
+@pytest.mark.parametrize("table", [epoch_law_table, expected_drops_table])
+@pytest.mark.parametrize("lam, mu, dt", [
+    (np.inf, 1.0, 1.0), (1.0, np.inf, 1.0), (1.0, 1.0, np.inf),
+    (np.nan, 1.0, 1.0), (1.0, 1.0, np.nan), (1e200, 1.0, 1e200),
+])
+def test_non_finite_inputs_raise(table, lam, mu, dt):
+    # an infinite rate, epoch length or scaled rate has no epoch kernel
+    with pytest.raises(ValueError):
+        table([0.5, lam], [1.0, mu], 5, dt)
+
+
+def _assert_close(got, want):
+    # relative where an entry is large against the slice's own scale; scipy
+    # is accurate to about eps * ||exp|| only, so below that both sides are
+    # compared in absolute terms
+    axes = tuple(range(1, want.ndim))
+    scale = np.maximum(want.max(axis=axes, keepdims=True), 1.0)
+    assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-14 * scale)
+
+
+def test_tables_match_scipy_expm():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        b = int(rng.integers(1, 31))
+        dt = float(np.exp(rng.uniform(np.log(0.01), np.log(50.0))))
+        lam = rng.uniform(0.0, 2.0, 5)
+        mu = rng.uniform(0.0, 2.0, 5)
+        lam[0], mu[1], lam[2], mu[2] = 0.0, 0.0, 0.0, 0.0
+        aug = _augmented_generators(lam, mu, b, dt) * dt
+        laws = epoch_law_table(lam, mu, b, dt)
+        drops = expected_drops_table(lam, mu, b, dt)
+        _assert_close(laws, scipy_expm(aug[:, :-1, :-1]))
+        _assert_close(drops, scipy_expm(aug)[:, b + 1, :b + 1])
+        assert np.all(laws >= 0.0)
+        assert np.all(np.abs(laws.sum(axis=1) - 1.0) <= 1e-13)
+        assert np.all(drops[[0, 2]] == 0.0)
+        assert np.all(drops >= 0.0)
+
+
+def test_tables_match_high_precision_oracle():
+    # every entry above 1e-200, however small, to a relative 1e-12: entries
+    # far from the start state need the exponential's squaring floor
+    mpmath = pytest.importorskip("mpmath")
+    for lam, mu, b, dt in [(1.0, 1.0, 30, 0.01), (1.5, 0.3, 20, 1.0),
+                           (0.01, 2.0, 30, 50.0), (0.9, 1.0, 5, 5.0)]:
+        aug = _augmented_generators(lam, mu, b, dt)[0] * dt
+        with mpmath.workdps(40):
+            exact = mpmath.expm(mpmath.matrix(aug.tolist()))
+        # both tables together are the augmented exponential less its
+        # counter column
+        want = np.array([[float(exact[i, j]) for j in range(b + 1)]
+                         for i in range(b + 2)])
+        got = np.vstack([epoch_law_table(lam, mu, b, dt)[0],
+                         expected_drops_table(lam, mu, b, dt)])
+        big = want > 1e-200
+        err = np.abs(got - want)
+        assert np.all(err[big] <= 1e-12 * want[big])
+        assert np.all(err[~big] <= 1e-14)
+
+
 def test_expected_drops_table_validation():
     with pytest.raises(ValueError):
         expected_drops_table([0.5, -0.1], [1.0, 1.0], 2, 1.0)

@@ -9,7 +9,7 @@ from sparselb.kernel import effective_rates
 from sparselb.nn import PolicyParameters, policy_zeta, save_policy_parameters
 from sparselb.policies import (JsqPolicy, MfrPolicy, OwnPolicy, RndPolicy,
                                SedPolicy, StaticZetaPolicy, make_policy,
-                               threshold_zeta)
+                               observations, threshold_zeta)
 from sparselb.simulator import empirical_distribution, profile_rates, run_episode
 from sparselb.simulator import SystemParams
 from sparselb.topology import build_ccc, build_cyc1d, build_torus
@@ -242,3 +242,11 @@ def test_policy_episode_ordering_sanity():
     rnd = np.mean([run_episode(topo, RndPolicy(), 40, 1.0, params, seed=s)
                    .total_drops for s in range(5)])
     assert jsq < rnd
+
+
+@pytest.mark.parametrize("mode", ["global", "ownstate", "neighborhood"])
+def test_observations_reject_fractional_and_negative_fills(mode):
+    topo = build_cyc1d(4)
+    for queues in ([0.5, 1.7, 2.0, 3.0], [0, -1, 2, 3]):
+        with pytest.raises(ValueError):
+            observations(queues, topo, 5, mode)

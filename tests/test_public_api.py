@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
+
+import sparselb
 
 MODULES = ("seeding", "topology", "traffic", "kernel", "simulator",
            "policies", "nn", "env", "trainer", "harness")
@@ -15,3 +20,14 @@ def test_every_public_name_resolves(name):
     missing = [attr for attr in mod.__all__ if not hasattr(mod, attr)]
     assert not missing, f"sparselb.{name}.__all__ names missing objects: {missing}"
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported lazily, where a confidence interval needs it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sparselb.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, sparselb; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"

@@ -31,6 +31,14 @@ def test_empirical_distribution_validation():
         empirical_distribution(np.array([], dtype=int), 5)
 
 
+def test_empirical_distribution_rejects_fractional_fills():
+    # the engines' input check: fills are integers, never truncated
+    with pytest.raises(ValueError):
+        empirical_distribution([0.5, 1.7], 5)
+    with pytest.raises(ValueError):
+        empirical_distribution(np.array([[0, 1], [2, 3]]), 5)
+
+
 def test_system_params_validation():
     with pytest.raises(ValueError):
         SystemParams(buffer=0)
@@ -148,7 +156,7 @@ def test_run_epoch_rejects_bad_start_queues(engine):
     topo = build_cyc1d(3)
     profile = DecisionProfile(offload=np.zeros(3))
     for bad in ([9, -2, 3], [0, 6, 0], [0, -1, 0], np.array([0.0, 1.0, 2.0]),
-                [[0, 1, 2]], [0, 1]):
+                [[0, 1, 2]], [0, 1], np.array([0, 1, 2**64 - 1], dtype=np.uint64)):
         with pytest.raises(ValueError, match="queue"):
             run_epoch(bad, profile, topo, 0.5, np.ones(3), 5, 3.0,
                       np.random.default_rng(0), engine)
