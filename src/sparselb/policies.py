@@ -35,16 +35,23 @@ __all__ = [
 ]
 
 
+def _node_fills(queues, topology, buffer: int | None, *rates) -> tuple:
+    """``checked_queues`` with one fill per node of ``topology``."""
+    q, *rates = checked_queues(queues, buffer, *rates)
+    if q.size != topology.n_nodes:
+        raise ValueError(f"need one fill per node ({topology.n_nodes})")
+    return (q, *rates)
+
+
 class _ArgminPolicy:
     """Shared machinery for jsq/sed: rowwise argmin over candidate scores."""
 
-    def _scores(self, queues, topology, service_rates) -> np.ndarray:
+    def _scores(self, queues, service_rates) -> np.ndarray:
         raise NotImplementedError
 
     def profile(self, queues, topology, service_rates) -> DecisionProfile:
         n = topology.n_nodes
-        scores = self._scores(np.asarray(queues), topology,
-                              np.asarray(service_rates, dtype=np.float64))
+        scores = self._scores(*_node_fills(queues, topology, None, service_rates))
         pad = topology.padded_neighbors
         own = np.arange(n, dtype=np.int64)
         if pad.shape[1] == 0:
@@ -58,12 +65,12 @@ class _ArgminPolicy:
 
 
 class JsqPolicy(_ArgminPolicy):
-    def _scores(self, queues, topology, service_rates):
+    def _scores(self, queues, service_rates):
         return queues.astype(np.float64)
 
 
 class SedPolicy(_ArgminPolicy):
-    def _scores(self, queues, topology, service_rates):
+    def _scores(self, queues, service_rates):
         if np.any(service_rates <= 0):
             raise ValueError("sed needs positive service rates")
         return (queues + 1.0) / service_rates
@@ -89,9 +96,7 @@ class StaticZetaPolicy:
             raise ValueError("offload probabilities must lie in [0, 1]")
 
     def profile(self, queues, topology, service_rates) -> DecisionProfile:
-        q = np.asarray(queues, dtype=np.int64)
-        if q.max(initial=0) >= self.zeta.size:
-            raise ValueError("queue fill exceeds the rule's table")
+        q, = _node_fills(queues, topology, self.zeta.size - 1)
         return DecisionProfile(offload=self.zeta[q])
 
 
@@ -153,7 +158,7 @@ class MfrPolicy:
                             self.params.observation_mode)
 
     def profile(self, queues, topology, service_rates) -> DecisionProfile:
-        q = np.asarray(queues, dtype=np.int64)
+        q, = _node_fills(queues, topology, self.params.buffer)
         obs = self.observations(q, topology)
         if obs.ndim == 1:
             zeta = policy_zeta(self.params, obs)

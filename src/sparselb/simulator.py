@@ -11,14 +11,17 @@ Two engines produce samples of the same law:
 * the default bank engine exploits the fact that per-packet routing thins
   each scheduler's Poisson stream into independent per-queue Poisson
   streams at the effective rates, so every queue can be advanced as an
-  independent birth-death chain; the inner loop is vectorized across
-  queues (and is what makes systems of several thousand queues cheap);
+  independent birth-death chain; the walk is vectorized across queues
+  and takes 8 ticks per step, looking the outcome of each queue's next 8
+  arrival/service bits up in a table built once per buffer (this is what
+  makes systems of several thousand queues cheap);
 * the reference engine runs the literal global race of competing
   exponential clocks with per-packet routing, one event at a time.  It is
   slow and exists to back the distributional cross-checks in the tests.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,18 +133,21 @@ def profile_rates(profile: DecisionProfile, topology, base_rate: float) -> np.nd
     return _kernel.effective_rates(topology, profile.offload, base_rate)
 
 
-def checked_queues(queues, buffer: int, *rates) -> tuple:
-    """Start fills as a fresh int64 vector in {0..buffer}, then ``rates`` as
-    float vectors of the same length; anything else raises ValueError."""
+def checked_queues(queues, buffer: int | None, *rates) -> tuple:
+    """Start fills as a fresh int64 vector in {0..buffer} (any nonnegative
+    fill when ``buffer`` is None), then ``rates`` as float vectors of the
+    same length; anything else raises ValueError."""
     q = np.asarray(queues)
     ok = q.ndim == 1 and q.dtype.kind in "iu"
     if ok:
         q = q.astype(np.int64)
         # read as unsigned, a negative fill lies above any buffer, so one
         # reduction checks both bounds (this runs every epoch and observation)
-        ok = q.size == 0 or q.view(np.uint64).max() <= buffer
+        top = np.iinfo(np.int64).max if buffer is None else buffer
+        ok = q.size == 0 or q.view(np.uint64).max() <= top
     if not ok:
-        raise ValueError(f"queues must be a vector of integer fills in {{0..{buffer}}}")
+        bound = "" if buffer is None else f" in {{0..{buffer}}}"
+        raise ValueError(f"queues must be a vector of nonnegative integer fills{bound}")
     rates = tuple(np.asarray(r, dtype=np.float64) for r in rates)
     if any(r.shape != q.shape for r in rates):
         raise ValueError(f"need one rate per queue ({q.size})")
@@ -153,6 +159,55 @@ def checked_queues(queues, buffer: int, *rates) -> tuple:
 
 # Rows of uniforms drawn at once: a (CHUNK, n) block, whatever the tick count.
 CHUNK = 16
+# Ticks per table lookup: the arrival bits of WALK ticks pack into one byte.
+WALK = 8
+_ROW = WALK << 8                                      # entries per fill class
+_BIT = (1 << np.arange(WALK, dtype=np.uint8))[:, None]
+
+
+def _fill_class(z, buffer: int):
+    """What WALK ticks can tell apart of a fill: its distance to either
+    boundary, capped at WALK.  Fills in [WALK, buffer - WALK] share class 0;
+    the others are fill - WALK (< 0) or fill - buffer + WALK (> 0).  Below
+    buffer 2 * WALK no fill is WALK from both boundaries and the class is
+    fill + WALK - buffer.  Either way it lies in -WALK..WALK."""
+    return z - np.clip(z, WALK, buffer - WALK)
+
+
+def _walk_key(fill_class, live, pattern):
+    """Table index of ``live`` (1..WALK) ticks with arrival bits ``pattern``
+    from a fill of class ``fill_class``.  It is signed: negative classes and
+    short walks index from the end of the table, as numpy does, and all
+    (2 * WALK + 1) * _ROW keys are distinct modulo the table length."""
+    return fill_class * _ROW + ((live - WALK) << 8) + pattern
+
+
+@functools.lru_cache(maxsize=8)
+def _walk_table(buffer: int):
+    """The outcome of every WALK-tick walk at ``buffer``: int8 change of
+    fill, and int64 drops + (idle service attempts << 32).  Bit r of the
+    pattern is an arrival at tick r, else a service attempt."""
+    # every fill within WALK of a boundary, once each: they cover every class
+    z0 = np.r_[0:min(buffer, WALK) + 1, max(buffer - WALK, WALK + 1):buffer + 1]
+    room = np.minimum(buffer - z0, WALK).astype(np.int8)[:, None, None]
+    depth = np.minimum(z0, WALK).astype(np.int8)[:, None, None]
+    live = np.arange(1, WALK + 1)[:, None]
+    pattern = np.arange(256)
+    d, drops, idle = np.zeros((3, z0.size, WALK, 256), dtype=np.int8)
+    for r in range(WALK):
+        up = (r < live) & (pattern >> r & 1).astype(bool)
+        down = (r < live) & ~up
+        full, empty = d == room, d == -depth
+        drops += up & full
+        idle += down & empty
+        d += (up & ~full).view(np.int8) - (down & ~empty).view(np.int8)
+    key = _walk_key(_fill_class(z0, buffer)[:, None, None], live, pattern)
+    dfill = np.zeros((2 * WALK + 1) * _ROW, dtype=np.int8)
+    tally = np.zeros_like(dfill, dtype=np.int64)
+    dfill[key] = d
+    tally[key] = drops + (idle.astype(np.int64) << 32)
+    dfill.flags.writeable = tally.flags.writeable = False    # shared by every call
+    return dfill, tally
 
 
 def simulate_queue_bank(queues, arrival_rates, service_rates, buffer: int,
@@ -165,11 +220,14 @@ def simulate_queue_bank(queues, arrival_rates, service_rates, buffer: int,
     Ticks are Poisson, so arrivals per queue are Poisson at the arrival
     rate.  The random stream is the tick counts, then one uniform per
     (tick, queue) in row-major (kmax, n) order, drawn in blocks of CHUNK
-    rows.  The queues are sorted by tick count, descending, so tick s walks
-    only the prefix of queues that still have one; the walk is
-    ``clip(q + step, 0, buffer)`` with step +1 for an arrival and -1 for a
-    service attempt, and a step that lands above the buffer is a drop, one
-    below zero an idle service attempt.
+    rows.  Each block's arrival bits are packed, WALK rows to a byte per
+    queue, before they are gathered into the order of descending tick
+    count, so step s walks only the prefix of queues that still have a
+    tick s.  One step advances WALK ticks: it looks the change of fill,
+    the drops and the idle service attempts up in the buffer's walk table
+    by (boundary class of the fill, live ticks, arrival bits).  Arrivals
+    and services follow from arrivals + services + idle = ticks and
+    arrivals - drops - services = change of fill.
 
     Returns (next_queues, drops, arrivals, services).
     """
@@ -184,30 +242,36 @@ def simulate_queue_bank(queues, arrival_rates, service_rates, buffer: int,
     # descending tick counts; a stable sort of small unsigned keys is a radix sort
     order = np.argsort((kmax - counts).astype(np.min_scalar_type(kmax)), kind="stable")
     ticks = counts[order]
-    live_n = n - np.cumsum(np.bincount(counts))[:kmax]    # queues with a tick s
-    # smallest signed dtype that holds -1..buffer+1 (int8 up to buffer 126):
-    # its minimum is -(buffer + 2) or lower exactly when buffer + 1 fits
-    walk = np.min_scalar_type(-(buffer + 2))
-    lo, hi = walk.type(0), walk.type(buffer)
-    z = q[order].astype(walk)
-    tally = np.zeros((3, n), dtype=np.int64)              # drops, arrivals, idle
+    live_n = np.zeros(kmax + WALK, dtype=np.int64)         # queues with a tick s
+    live_n[:kmax] = n - np.cumsum(np.bincount(counts))[:kmax]
+    dfill, tally = _walk_table(buffer)
+    z = q[order]
+    acc = np.zeros(n, dtype=np.int64)                      # drops + (idle << 32)
+    u = np.empty((CHUNK, n))
+    arrive = np.empty((CHUNK, n), dtype=bool)
     for s0 in range(0, kmax, CHUNK):
         c = min(CHUNK, kmax - s0)
-        m0 = int(live_n[s0])
-        arrive = (rng.random((c, n)) < p_arrive)[:, order[:m0]]
-        arrive &= np.arange(s0, s0 + c)[:, None] < ticks[:m0]
-        step = 2 * arrive.astype(walk) - 1                # +1 arrival, -1 service attempt
-        t = np.zeros((c, m0), dtype=walk)                 # q + step; 0 after a queue's last tick
-        for r in range(c):
-            m = live_n[s0 + r]
-            np.add(z[:m], step[r, :m], out=t[r, :m])
-            t[r, :m].clip(lo, hi, out=z[:m])
-        for row, hits in zip(tally, (t > hi, arrive, t < lo)):
-            row[:m0] += hits.view(np.int8).sum(axis=0, dtype=np.int8)
-    out = np.empty((4, n), dtype=np.int64)               # back in input order
+        steps = -(-c // WALK)
+        rng.random(out=u[:c])
+        np.less(u[:c], p_arrive, out=arrive[:c])
+        arrive[c:steps * WALK] = False                     # pad to whole bytes
+        bits = arrive[:steps * WALK].reshape(steps, WALK, n).view(np.uint8) * _BIT
+        patterns = bits.sum(axis=1, dtype=np.uint8)
+        for b in range(steps):
+            s = s0 + b * WALK
+            m, m_full = live_n[s], live_n[s + WALK - 1]    # queues with 1+ / WALK ticks left
+            key = _fill_class(z[:m], buffer)               # _walk_key, in place
+            key *= _ROW
+            key += patterns[b].take(order[:m])
+            key[m_full:] += (ticks[m_full:m] - s - WALK) << 8
+            z[:m] += dfill.take(key)
+            acc[:m] += tally.take(key)
+    out = np.empty((3, n), dtype=np.int64)                 # back in input order
     out[0, order] = z
-    out[1:, order] = tally
-    nq, drops, arrivals, idle = out
+    out[1, order] = acc & 0xFFFFFFFF                       # tick counts stay below 2**32
+    out[2, order] = acc >> 32
+    nq, drops, idle = out
+    arrivals = (counts - idle + nq - q + drops) >> 1
     return nq, drops, arrivals, counts - arrivals - idle
 
 

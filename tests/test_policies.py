@@ -250,3 +250,18 @@ def test_observations_reject_fractional_and_negative_fills(mode):
     for queues in ([0.5, 1.7, 2.0, 3.0], [0, -1, 2, 3]):
         with pytest.raises(ValueError):
             observations(queues, topo, 5, mode)
+
+
+@pytest.mark.parametrize("make", [
+    JsqPolicy,
+    SedPolicy,
+    lambda: StaticZetaPolicy(threshold_zeta(5)),
+    lambda: MfrPolicy(PolicyParameters.init(buffer=5, hidden=(8,),
+                                            rng=np.random.default_rng(0))),
+], ids=["jsq", "sed", "threshold", "mfr"])
+def test_profile_rejects_fractional_negative_and_misshapen_fills(make):
+    topo, pol = build_cyc1d(4), make()
+    for queues in ([0.5, 1.7, 2.0, 3.0], [0, -1, 2, 3], [[0, 1], [2, 3]], [0, 1, 2]):
+        with pytest.raises(ValueError):
+            pol.profile(queues, topo, np.ones(4))
+    pol.profile([0, 1, 2, 3], topo, np.ones(4))

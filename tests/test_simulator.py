@@ -14,7 +14,7 @@ from sparselb.simulator import (CHUNK, DecisionProfile, EpochOutcome, Episode,
                                 SystemParams, empirical_distribution, init_queues,
                                 profile_rates, run_epoch, run_episode,
                                 simulate_queue_bank)
-from sparselb.simulator import _gillespie_epoch
+from sparselb.simulator import WALK, _fill_class, _gillespie_epoch, _walk_key, _walk_table
 from sparselb.topology import build_cyc1d, from_edges
 
 
@@ -413,7 +413,7 @@ def assert_bank_matches_oracle(queues, lam, mu, buffer, delta_t, seed):
 @given(st.data())
 def test_queue_bank_matches_oracle(data):
     n = data.draw(st.integers(1, 40))
-    buffer = data.draw(st.sampled_from([1, 2, 5, 126, 127, 128, 200]))
+    buffer = data.draw(st.sampled_from([1, 2, 5, 7, 8, 9, 16, 17, 126, 127, 128, 200]))
     vec = st.lists(rates, min_size=n, max_size=n)
     assert_bank_matches_oracle(
         data.draw(st.lists(st.integers(0, buffer), min_size=n, max_size=n)),
@@ -447,6 +447,27 @@ def test_queue_bank_drops_at_a_full_buffer(buffer):
     nq, drops, _, _ = simulate_queue_bank(queues, lam, mu, buffer, 5.0,
                                           np.random.default_rng(3))
     assert drops[:3].min() > 0 and nq[1] == buffer
+
+
+@pytest.mark.parametrize("buffer", [1, 5, 8, 16, 17, 32767])
+def test_walk_table_matches_brute_force(buffer):
+    # walk every start fill through every arrival pattern one tick at a
+    # time: after r + 1 ticks it must read the entry for r + 1 live ticks
+    dfill, tally = _walk_table(buffer)
+    pattern = np.arange(256)
+    for lo in range(0, buffer + 1, 4096):
+        start = np.arange(lo, min(lo + 4096, buffer + 1))[:, None]
+        fill = np.repeat(start, 256, axis=1)
+        drops, idle = np.zeros_like(fill), np.zeros_like(fill)
+        for r in range(WALK):
+            arrive = (pattern >> r & 1).astype(bool)
+            full, empty = fill == buffer, fill == 0
+            drops += arrive & full
+            idle += ~arrive & empty
+            fill = fill + (arrive & ~full) - (~arrive & ~empty)
+            key = _walk_key(_fill_class(start, buffer), r + 1, pattern)
+            assert np.array_equal(dfill[key], fill - start)
+            assert np.array_equal(tally[key], drops + (idle << 32))
 
 
 def test_queue_bank_memory_is_bounded_by_the_chunk():
