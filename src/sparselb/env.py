@@ -101,11 +101,12 @@ class LoadBalanceEnv(Episode):
     def _expected_epoch_drops(self, profile: DecisionProfile) -> float:
         # variance-reduced reward: conditional expectation given the
         # epoch-start configuration, from the per-queue transition kernel;
-        # one row of the drop table covers every start state of a rate pair
+        # one row of the drop table covers every start state of a rate pair.
+        # Complex keys sort by real part, then imaginary part, so the 1-D
+        # unique gives the (rate, service rate) pairs in row order.
         rates = effective_rates(self.topology, profile.offload, self.rate)
-        pairs, inv = np.unique(np.column_stack([rates, self.service_rates]), axis=0,
-                               return_inverse=True)
-        table = expected_drops_table(pairs[:, 0], pairs[:, 1], self.params.buffer,
+        pairs, inv = np.unique(rates + 1j * self.service_rates, return_inverse=True)
+        table = expected_drops_table(pairs.real, pairs.imag, self.params.buffer,
                                      self.delta_t)
-        return float(table[inv.reshape(-1), self.queues].sum())
+        return float(table[inv, self.queues].sum())
 

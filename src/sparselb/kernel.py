@@ -8,7 +8,11 @@ the matrix exponential, and computes the expected number of dropped
 packets via an augmented absorbing counter state.  Both tables are
 stacked: they take arrays of (arrival, service) rate pairs and cover all
 of them with one call of ``_expm_nonneg``, a batched exponential that
-works on the whole stack at once in nonnegative arithmetic.
+works on the whole stack at once in nonnegative arithmetic.  It
+evaluates a degree-18 Taylor polynomial of the scaled, shifted generator
+by Paterson-Stockmeyer (X^2, X^3 and X^4 formed, 7 matrix products per
+stack), with a truncation error below 8.7e-18 of the result's norm, and
+then squares.
 
 Conventions: generators are column-oriented, Q[i, j] is the rate from
 state j to state i, so columns sum to zero and the epoch law is
@@ -106,8 +110,13 @@ def _augmented_generators(arrival_rates, service_rates, buffer: int,
     return aug
 
 
-# Taylor degree of _expm_nonneg; see its docstring for the truncation bound.
+# Taylor degree of _expm_nonneg, and 1/k! for k = 0..degree; see its
+# docstring for the truncation bound.
 _TAYLOR_DEGREE = 18
+_TAYLOR_COEFFS = tuple(1.0 / math.factorial(k) for k in range(_TAYLOR_DEGREE + 1))
+# Paterson-Stockmeyer block size: X, X^2 and X^3 form the blocks, Y = X^4
+# runs Horner over them.
+_PS_BLOCK = 4
 
 
 def _expm_nonneg(a: np.ndarray) -> np.ndarray:
@@ -116,36 +125,62 @@ def _expm_nonneg(a: np.ndarray) -> np.ndarray:
     Each slice i is shifted to N_i = A_i + c_i I with c_i = max(-diag A_i),
     so N_i >= 0 entrywise, and scaled to X_i = N_i / 2^s_i with
     s_i = ceil(log2 ||N_i||_1), floored at ceil(log2(m - 1)); so
-    ||X_i||_1 <= 1.  The degree-18 Taylor polynomial of exp(X_i), by
-    Horner, then misses sum_{k >= 19} X_i^k / k!, whose 1-norm is at most
+    ||X_i||_1 <= 1.  The degree-18 Taylor polynomial of exp(X_i) then
+    misses sum_{k >= 19} X_i^k / k!, whose 1-norm is at most
     sum_{k >= 19} 1/k! < 8.7e-18: relative to ||exp(X_i)||_1 >= 1, below
     the float64 rounding unit 2^-53.  The floor makes 2^s_i at least the
     longest path between two states (m - 1 steps), so each of the 2^s_i
     factors of the result carries about one step of it; without it, an
     entry more than 18 states away from its column's state would come out
-    0 at small norms.  The polynomial is multiplied by exp(-c_i / 2^s_i)
-    and squared s_i times: the whole stack is squared together, and
-    np.where keeps the slices that are done.
+    0 at small norms.
 
-    All arithmetic is on nonnegative numbers, so entries come out >= 0,
-    and slice i never depends on the other slices.  Entries must be
-    finite.
+    The polynomial is evaluated by Paterson-Stockmeyer: X^2, X^3 and
+    Y = X^4 are formed, the five blocks C_j = sum_{i<4} X^i / (4j + i)!
+    (C_4 stops at X^2) are summed elementwise, and Horner runs in Y,
+    C_0 + Y (C_1 + Y (C_2 + Y (C_3 + Y C_4))): 7 matrix products per
+    stack instead of 18.  The result is multiplied by exp(-c_i / 2^s_i)
+    and squared s_i times: the whole stack is squared unmasked while every
+    slice still needs it, and from min s on np.copyto keeps the slices
+    that are done.
+
+    All the work happens with ``out=`` in one (6, k, m, m) workspace, and
+    the result is a view into it.  All arithmetic is on nonnegative
+    numbers, so entries come out >= 0, and slice i never depends on the
+    other slices or on the size of the stack.  Entries must be finite.
     """
-    m = a.shape[1]
+    k, m = a.shape[:2]
     diag = np.arange(m)
-    shift = -a[:, diag, diag].min(axis=1)
-    n = a.copy()
-    n[:, diag, diag] += shift[:, None]
-    mantissa, exponent = np.frexp(n.sum(axis=1).max(axis=1))
+    work = np.empty((_PS_BLOCK + 2, k, m, m))
+    powers, p, t = work[:_PS_BLOCK], work[_PS_BLOCK], work[_PS_BLOCK + 1]
+    x, y = powers[0], powers[-1]
+    np.copyto(x, a)
+    shift = -x[:, diag, diag].min(axis=1)
+    x[:, diag, diag] += shift[:, None]
+    mantissa, exponent = np.frexp(x.sum(axis=1).max(axis=1))
     s = np.maximum(exponent - (mantissa == 0.5), math.ceil(math.log2(m - 1)))
-    x = np.ldexp(n, -s[:, None, None])
-    eye = np.eye(m)
-    p = eye + x / _TAYLOR_DEGREE
-    for j in range(_TAYLOR_DEGREE - 1, 0, -1):
-        p = eye + (x @ p) / j
+    np.ldexp(x, -s[:, None, None], out=x)
+    for i in range(1, _PS_BLOCK):
+        np.matmul(powers[i - 1], x, out=powers[i])
+    # Horner in Y from the highest block down; p starts at zero, and t
+    # takes each scaled power before it is added
+    top = _TAYLOR_DEGREE - _TAYLOR_DEGREE % _PS_BLOCK
+    p.fill(0.0)
+    for first in range(top, -1, -_PS_BLOCK):
+        if first < top:
+            np.matmul(y, p, out=t)
+            p, t = t, p
+        for i in range(min(_PS_BLOCK, _TAYLOR_DEGREE + 1 - first) - 1, 0, -1):
+            np.multiply(powers[i - 1], _TAYLOR_COEFFS[first + i], out=t)
+            p += t
+        p[:, diag, diag] += _TAYLOR_COEFFS[first]
     p *= np.exp(-np.ldexp(shift, -s))[:, None, None]
-    for r in range(int(s.max(initial=0))):
-        p = np.where((s > r)[:, None, None], p @ p, p)
+    hi = int(s.max(initial=0))
+    lo = int(s.min(initial=hi))
+    for r in range(hi):
+        np.matmul(p, p, out=t)
+        if r >= lo:
+            np.copyto(t, p, where=(s <= r)[:, None, None])
+        p, t = t, p
     return p
 
 
@@ -158,7 +193,7 @@ def epoch_law_table(arrival_rates, service_rates, buffer: int,
     distribution of the queue length after one epoch from start state s.
     """
     aug = _augmented_generators(arrival_rates, service_rates, buffer, epoch_length)
-    return _expm_nonneg(aug[:, :-1, :-1] * epoch_length)
+    return _expm_nonneg(aug[:, :-1, :-1] * epoch_length).copy()
 
 
 def expected_drops_table(arrival_rates, service_rates, buffer: int,
@@ -170,5 +205,5 @@ def expected_drops_table(arrival_rates, service_rates, buffer: int,
     covers all pairs.
     """
     aug = _augmented_generators(arrival_rates, service_rates, buffer, epoch_length)
-    return _expm_nonneg(aug * epoch_length)[:, buffer + 1, :buffer + 1]
+    return _expm_nonneg(aug * epoch_length)[:, buffer + 1, :buffer + 1].copy()
 

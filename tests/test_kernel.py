@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +195,24 @@ def test_expected_drops_table_matches_scalar():
         for i in range(6):
             assert np.array_equal(laws[i], epoch_law_table(lam[i], mu[i], b, dt)[0])
             assert np.array_equal(drops[i], expected_drops_table(lam[i], mu[i], b, dt)[0])
+    # a large stack whose squaring counts spread from the floor, 3 at B=5,
+    # up to 7: a lone pair squares unmasked only, while the stack squares
+    # unmasked up to its least count and masked beyond it.  The shifted
+    # generator's norm is (lam + mu) * dt.
+    b, dt = 5, 2.0
+    counts = np.repeat(np.arange(3, 8), 48)
+    total = np.ldexp(rng.uniform(0.55, 0.95, counts.size), counts) / dt
+    lam = total * rng.uniform(0.0, 1.0, counts.size)
+    mu = total - lam
+    assert np.array_equal(np.maximum(np.ceil(np.log2((lam + mu) * dt)), 3), counts)
+    laws = epoch_law_table(lam, mu, b, dt)
+    drops = expected_drops_table(lam, mu, b, dt)
+    for i in range(counts.size):
+        assert np.array_equal(laws[i], epoch_law_table(lam[i], mu[i], b, dt)[0])
+        assert np.array_equal(drops[i], expected_drops_table(lam[i], mu[i], b, dt)[0])
+    # an empty stack
+    assert epoch_law_table([], [], b, dt).shape == (0, b + 1, b + 1)
+    assert expected_drops_table([], [], b, dt).shape == (0, b + 1)
 
 
 @pytest.mark.parametrize("table", [epoch_law_table, expected_drops_table])
@@ -254,6 +273,22 @@ def test_tables_match_high_precision_oracle():
         err = np.abs(got - want)
         assert np.all(err[big] <= 1e-12 * want[big])
         assert np.all(err[~big] <= 1e-14)
+
+
+def test_expected_drops_table_memory_is_bounded():
+    # Bound, fixed before measuring: 12 slabs of k (B+2)^2 float64, the
+    # size of one stacked augmented generator.  The exponential's workspace
+    # is 6 slabs; the generator and its scaled copy are 2 more.
+    k, b = 300, 5
+    bound = 12 * k * (b + 2) ** 2 * 8
+    lam, mu = np.linspace(0.0, 3.0, k), np.ones(k)
+    tracemalloc.start()
+    try:
+        expected_drops_table(lam, mu, b, 5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
 
 
 def test_expected_drops_table_validation():
