@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import effective_rates, expected_drops_table
+from .kernel import expected_drops_table
 from .policies import observations
 from .simulator import DecisionProfile, Episode, SystemParams
 
@@ -90,23 +90,22 @@ class LoadBalanceEnv(Episode):
             warnings.warn("offload probabilities clamped into [0, 1]")
             zeta = np.clip(zeta, 0.0, 1.0)
         obs = self.observation()
-        profile = DecisionProfile(offload=zeta[self.queues])
+        start = self.queues
+        out = self.advance(DecisionProfile(offload=zeta[start]))
         if self.reward_mode == "expected":
-            reward = -self._expected_epoch_drops(profile) / self.topology.n_nodes
-        out = self.advance(profile)
-        if self.reward_mode == "realized":
-            reward = -float(out.drops.sum()) / self.topology.n_nodes
-        return McTransition(obs, zeta, reward, self.observation())
+            drops = self._expected_epoch_drops(out.arrival_rates, start)
+        else:
+            drops = float(out.drops.sum())
+        return McTransition(obs, zeta, -drops / self.topology.n_nodes, self.observation())
 
-    def _expected_epoch_drops(self, profile: DecisionProfile) -> float:
+    def _expected_epoch_drops(self, rates: np.ndarray, start: np.ndarray) -> float:
         # variance-reduced reward: conditional expectation given the
-        # epoch-start configuration, from the per-queue transition kernel;
-        # one row of the drop table covers every start state of a rate pair.
-        # Complex keys sort by real part, then imaginary part, so the 1-D
-        # unique gives the (rate, service rate) pairs in row order.
-        rates = effective_rates(self.topology, profile.offload, self.rate)
+        # epoch-start fills and the per-queue rates the epoch ran at, from
+        # the per-queue transition kernel; one row of the drop table covers
+        # every start state of a rate pair.  Complex keys sort by real part,
+        # then imaginary part, so the 1-D unique gives the (rate, service
+        # rate) pairs in row order.
         pairs, inv = np.unique(rates + 1j * self.service_rates, return_inverse=True)
         table = expected_drops_table(pairs.real, pairs.imag, self.params.buffer,
                                      self.delta_t)
-        return float(table[inv, self.queues].sum())
-
+        return float(table[inv, start].sum())

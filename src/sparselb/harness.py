@@ -293,6 +293,8 @@ def bethe_ablation(cfg: ExperimentConfig, out_dir=None,
         if tspec.get("family") != "bethe":
             raise ValueError("bethe_ablation expects bethe topologies only")
     cells = sweep(cfg, out_dir=out_dir, include_timing=include_timing)
+    learned_keys = {policy_key(p) for p in cfg.policies
+                    if isinstance(p, dict) and p.get("kind", "").lower() == "mfr"}
     report = {"groups": []}
     for tspec in cfg.topologies:
         tkey = topology_key(tspec)
@@ -305,8 +307,7 @@ def bethe_ablation(cfg: ExperimentConfig, out_dir=None,
                 own, rnd = by_policy["own"], by_policy["rnd"]
                 entry["own_beats_rnd"] = bool(
                     own.ci_bounds()[1] < rnd.ci_bounds()[0])
-            learned = [c for c in group if c.policy not in
-                       ("own", "rnd", "jsq", "sed")]
+            learned = [c for c in group if c.policy in learned_keys]
             if learned and "own" in by_policy:
                 own = by_policy["own"]
                 entry["learned_behind_own"] = {

@@ -163,10 +163,18 @@ def load_policy_parameters(path) -> PolicyParameters:
         doc = json.load(fh)
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
-    return PolicyParameters(
+    params = PolicyParameters(
         layer_sizes=tuple(doc["layer_sizes"]),
         weights=np.asarray(doc["weights"], dtype=np.float64),
         log_std=np.asarray(doc["log_std"], dtype=np.float64),
         observation_mode=doc["observation_mode"],
         buffer=int(doc["buffer"]),
     )
+    sizes, width = params.layer_sizes, params.buffer + 1
+    if params.weights.shape != (n_params(sizes),):
+        raise ValueError(f"checkpoint holds {params.weights.size} weights but layer "
+                         f"sizes {sizes} need {n_params(sizes)}")
+    if sizes[-1] != width or params.log_std.shape != (width,):
+        raise ValueError(f"checkpoint has {sizes[-1]} outputs and {params.log_std.size} "
+                         f"log_std entries; buffer {params.buffer} needs {width} of each")
+    return params

@@ -102,6 +102,7 @@ class EpochOutcome:
     drops: np.ndarray
     arrivals: np.ndarray
     services: np.ndarray
+    arrival_rates: np.ndarray      # per-queue Poisson rates the epoch ran at
 
 
 @dataclass
@@ -338,16 +339,15 @@ def run_epoch(queues, profile, topology, base_rate: float, service_rates,
         if t.shape != (n,) or not np.issubdtype(t.dtype, np.integer) \
                 or t.min() < 0 or t.max() >= n:
             raise ValueError(f"targets must be {n} integer queue indices in [0, {n})")
-    if engine == "bank":
-        lam = profile_rates(profile, topology, base_rate)
-        nq, drops, arrivals, services = simulate_queue_bank(
-            queues, lam, service_rates, buffer, delta_t, rng)
-    elif engine == "reference":
-        nq, drops, arrivals, services = _gillespie_epoch(
-            queues, profile, topology, base_rate, service_rates, buffer, delta_t, rng)
-    else:
+    if engine not in ("bank", "reference"):
         raise ValueError(f"unknown engine {engine!r}")
-    return EpochOutcome(nq, drops, arrivals, services)
+    lam = profile_rates(profile, topology, base_rate)
+    if engine == "bank":
+        counts = simulate_queue_bank(queues, lam, service_rates, buffer, delta_t, rng)
+    else:       # records the same rates, but samples by per-packet routing
+        counts = _gillespie_epoch(queues, profile, topology, base_rate,
+                                  service_rates, buffer, delta_t, rng)
+    return EpochOutcome(*counts, lam)
 
 
 # ---- episodes ----

@@ -108,19 +108,22 @@ def _make_env(topology, params, delta_t, horizon, cfg) -> LoadBalanceEnv:
                           observe_rate=cfg.observe_rate)
 
 
-def _rollout(env: LoadBalanceEnv, net: Mlp, seed, sigma=None, explore=None):
+def _rollout(env: LoadBalanceEnv, policy: PolicyParameters, seed, explore=False):
     """Run one episode; returns (observations, actions, means, rewards).
 
-    The action is the squashed network output, plus Gaussian noise of
-    scale ``sigma`` when an ``explore`` generator is given; it is stored
-    raw and clipped into [0, 1] for the environment.
+    The action is the squashed network output, plus Gaussian noise of the
+    policy's scale from a generator derived from ``seed`` when
+    ``explore``; it is stored raw and clipped into [0, 1] for the
+    environment.
     """
+    net, sigma = policy.mlp(), policy.std
+    noise = np.random.default_rng(derive_seed(seed, "explore")) if explore else None
     obs = env.reset(seed)
     obs_list, act_list, mu_list, rew_list = [], [], [], []
     while not env.done:
         out, _ = net.forward(obs)
         mu = sigmoid(out)[0]
-        raw = mu if explore is None else mu + sigma * explore.standard_normal(mu.size)
+        raw = mu if noise is None else mu + sigma * noise.standard_normal(mu.size)
         tr = env.step(np.clip(raw, 0.0, 1.0))
         obs_list.append(obs)
         act_list.append(raw)
@@ -131,23 +134,16 @@ def _rollout(env: LoadBalanceEnv, net: Mlp, seed, sigma=None, explore=None):
             np.asarray(mu_list), np.asarray(rew_list))
 
 
-def _episode_rollout(topology, params, delta_t, horizon, cfg, policy, ep_seed):
-    env = _make_env(topology, params, delta_t, horizon, cfg)
-    explore = np.random.default_rng(derive_seed(ep_seed, "explore"))
-    return _rollout(env, policy.mlp(), ep_seed, policy.std, explore)
-
-
-def collect_batch(topology, params: SystemParams, delta_t: float, horizon: int,
-                  cfg: TrainerConfig, policy: PolicyParameters,
+def collect_batch(env: LoadBalanceEnv, cfg: TrainerConfig, policy: PolicyParameters,
                   seed: int) -> RolloutBatch:
     """Roll whole episodes until at least batch_size transitions are stored.
 
     Episode seeds derive from (seed, episode index), so the batch content
     is identical for any worker count.
     """
-    episodes = max(1, math.ceil(cfg.batch_size / horizon))
+    episodes = max(1, math.ceil(cfg.batch_size / env.horizon))
     rolls = parallel_map(
-        partial(_episode_rollout, topology, params, delta_t, horizon, cfg, policy),
+        partial(_rollout, env, policy, explore=True),
         [derive_seed(seed, "episode", e) for e in range(episodes)], cfg.workers)
     starts = np.cumsum([0] + [r[0].shape[0] for r in rolls[:-1]])
     obs = np.concatenate([r[0] for r in rolls])
@@ -354,14 +350,9 @@ def ppo_update(state: TrainState, batch: RolloutBatch, cfg: TrainerConfig,
 # ---- evaluation of fixed parameters ----
 
 
-def evaluate_params(topology, params: SystemParams, delta_t: float, horizon: int,
-                    policy: PolicyParameters, seeds, observation_mode: str = "global",
-                    observe_rate: bool = False) -> float:
+def evaluate_params(env: LoadBalanceEnv, policy: PolicyParameters, seeds) -> float:
     """Mean episode return of the deterministic policy over the given seeds."""
-    env = LoadBalanceEnv(topology, params, delta_t, horizon,
-                         observation_mode=observation_mode, observe_rate=observe_rate)
-    net = policy.mlp()
-    return float(np.mean([_rollout(env, net, s)[3].sum() for s in seeds]))
+    return float(np.mean([_rollout(env, policy, s)[3].sum() for s in seeds]))
 
 
 # ---- drivers ----
@@ -379,6 +370,15 @@ def _write_curve(path, rows) -> None:
                         for k, v in row.items()})
 
 
+def _finish(best: PolicyParameters, curve: list, out_dir):
+    """Write the checkpoint and the curve under ``out_dir``, if given."""
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        save_policy_parameters(best, os.path.join(out_dir, "checkpoint.json"))
+        _write_curve(os.path.join(out_dir, "curve.csv"), curve)
+    return best, curve
+
+
 def train(topology, params: SystemParams, delta_t: float, horizon: int,
           cfg: TrainerConfig, seed: int, out_dir=None):
     """Full policy-gradient run; returns (best parameters, curve rows).
@@ -387,10 +387,10 @@ def train(topology, params: SystemParams, delta_t: float, horizon: int,
     returned parameters never regress because of a late bad iteration.
     """
     rng = np.random.default_rng(derive_seed(seed, "init"))
-    env_probe = _make_env(topology, params, delta_t, horizon, cfg)
+    env = _make_env(topology, params, delta_t, horizon, cfg)
     policy = PolicyParameters.init(params.buffer, cfg.hidden, rng,
                                    observation_mode=cfg.observation_mode,
-                                   obs_dim=env_probe.observation_dim,
+                                   obs_dim=env.observation_dim,
                                    explore_init=cfg.explore_init)
     state = init_train_state(policy, cfg, rng)
     update_rng = np.random.default_rng(derive_seed(seed, "update"))
@@ -399,15 +399,13 @@ def train(topology, params: SystemParams, delta_t: float, horizon: int,
     best = None
     curve = []
     for it in range(cfg.epochs):
-        batch = collect_batch(topology, params, delta_t, horizon, cfg,
-                              state.policy, derive_seed(seed, "batch", it))
+        batch = collect_batch(env, cfg, state.policy, derive_seed(seed, "batch", it))
         compute_advantages(batch, Mlp(state.critic_sizes, state.critic_flat),
                            cfg.gamma, cfg.gae_lambda)
         mean_return = float(np.mean([batch.rewards[sl].sum()
                                      for sl in batch.episode_slices()]))
         diag = ppo_update(state, batch, cfg, update_rng)
-        score = evaluate_params(topology, params, delta_t, horizon, state.policy,
-                                eval_seeds, cfg.observation_mode, cfg.observe_rate)
+        score = evaluate_params(env, state.policy, eval_seeds)
         if score > best_score:
             best_score = score
             best = replace(state.policy, weights=state.policy.weights.copy(),
@@ -416,12 +414,7 @@ def train(topology, params: SystemParams, delta_t: float, horizon: int,
                       "eval_return": score, **diag})
         if diag["aborted"]:
             break
-    best = best if best is not None else state.policy
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        save_policy_parameters(best, os.path.join(out_dir, "checkpoint.json"))
-        _write_curve(os.path.join(out_dir, "curve.csv"), curve)
-    return best, curve
+    return _finish(best if best is not None else state.policy, curve, out_dir)
 
 
 def cem_train(topology, params: SystemParams, delta_t: float, horizon: int,
@@ -433,16 +426,14 @@ def cem_train(topology, params: SystemParams, delta_t: float, horizon: int,
     iterations.  Returns (best parameters, curve rows).
     """
     rng = np.random.default_rng(derive_seed(seed, "cem"))
-    env_probe = _make_env(topology, params, delta_t, horizon, cfg)
+    env = _make_env(topology, params, delta_t, horizon, cfg)
     template = PolicyParameters.init(params.buffer, cfg.hidden, rng,
                                      observation_mode=cfg.observation_mode,
-                                     obs_dim=env_probe.observation_dim)
+                                     obs_dim=env.observation_dim)
     eval_seeds = [derive_seed(seed, "cemeval", k) for k in range(cfg.eval_episodes)]
 
     def score(flat: np.ndarray) -> float:
-        cand = replace(template, weights=flat)
-        return evaluate_params(topology, params, delta_t, horizon, cand, eval_seeds,
-                               cfg.observation_mode, cfg.observe_rate)
+        return evaluate_params(env, replace(template, weights=flat), eval_seeds)
 
     dim = template.weights.size
     mean = template.weights.copy()
@@ -465,9 +456,4 @@ def cem_train(topology, params: SystemParams, delta_t: float, horizon: int,
         curve.append({"iteration": it, "eval_mean": float(scores.mean()),
                       "eval_best": float(scores[order[0]]),
                       "best_so_far": best_score})
-    best = replace(template, weights=best_flat)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        save_policy_parameters(best, os.path.join(out_dir, "checkpoint.json"))
-        _write_curve(os.path.join(out_dir, "curve.csv"), curve)
-    return best, curve
+    return _finish(replace(template, weights=best_flat), curve, out_dir)

@@ -183,3 +183,22 @@ def test_expected_reward_mode():
     with pytest.raises(ValueError):
         make_env(reward_mode="sampled")
 
+
+def test_expected_step_computes_rates_once(monkeypatch):
+    # the reward reads the rates the epoch ran at instead of recomputing them
+    from sparselb import env as env_mod
+    from sparselb import kernel
+
+    calls = []
+    original = kernel.effective_rates
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(kernel, "effective_rates", counting)
+    monkeypatch.setattr(env_mod, "effective_rates", counting, raising=False)
+    env = make_env(reward_mode="expected")
+    env.reset(seed=3)
+    for steps in range(1, 4):
+        env.step(np.linspace(0.1, 0.9, 6))
+        assert len(calls) == steps

@@ -166,6 +166,23 @@ def test_bethe_ablation_small(tmp_path):
         bethe_ablation(small_cfg())
 
 
+def test_bethe_ablation_reports_only_learned_policies(tmp_path):
+    # rules (threshold, a named static table) are not learned policies; a
+    # checkpoint-backed mfr cell is, whatever it is named
+    path = tmp_path / "ckpt.json"
+    save_policy_parameters(
+        PolicyParameters.init(buffer=5, hidden=(4,), rng=np.random.default_rng(6)), path)
+    cfg = small_cfg(topologies=[{"family": "bethe", "depth": 3, "branching": 3}],
+                    policies=["own", "rnd", "threshold",
+                              {"kind": "static", "name": "ramp",
+                               "zeta": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]},
+                              {"kind": "mfr", "name": "net", "checkpoint": str(path)}],
+                    delta_ts=[5.0], episodes=4, horizon=5)
+    (group,) = bethe_ablation(cfg)["groups"]
+    assert set(group["learned_behind_own"]) == {"net"}
+    assert set(group["ranking"]["ranking"]) == {"own", "rnd", "threshold", "ramp", "net"}
+
+
 def test_config_from_json(tmp_path):
     doc = {
         "topology": {"family": "torus", "side": 4},

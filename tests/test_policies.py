@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sparselb.kernel import effective_rates
-from sparselb.nn import PolicyParameters, policy_zeta, save_policy_parameters
+from sparselb.nn import PolicyParameters, n_params, policy_zeta, save_policy_parameters
 from sparselb.policies import (JsqPolicy, MfrPolicy, OwnPolicy, RndPolicy,
                                SedPolicy, StaticZetaPolicy, make_policy,
                                observations, threshold_zeta)
@@ -230,6 +230,25 @@ def test_make_policy_checkpoint_round_trip(tmp_path):
     assert np.array_equal(policy_zeta(pol.params, obs), policy_zeta(params, obs))
     with pytest.raises(ValueError):
         make_policy({"kind": "mfr", "checkpoint": str(path)}, 3)
+
+
+def test_make_policy_rejects_malformed_checkpoints(tmp_path):
+    # each of these used to load, then fail mid-run or read the wrong outputs
+    params = PolicyParameters.init(buffer=5, hidden=(4,), rng=np.random.default_rng(8))
+    path = tmp_path / "ckpt.json"
+    save_policy_parameters(params, path)
+    good = json.loads(path.read_text())
+    bad = [{"weights": good["weights"][:-3]}]
+    for width in (8, 3):
+        sizes = [6, 4, width]
+        bad.append({"layer_sizes": sizes, "weights": [0.0] * n_params(sizes)})
+    bad.append({"log_std": good["log_std"][:4]})
+    for change in bad:
+        path.write_text(json.dumps({**good, **change}))
+        with pytest.raises(ValueError):
+            make_policy({"kind": "mfr", "checkpoint": str(path)}, 5)
+    path.write_text(json.dumps(good))
+    make_policy({"kind": "mfr", "checkpoint": str(path)}, 5)
 
 
 def test_policy_episode_ordering_sanity():

@@ -88,6 +88,11 @@ def test_flow_conservation(engine):
         assert np.all(balance == 0)
         assert np.all(out.next_queues >= 0)
         assert np.all(out.next_queues <= 5)
+        # both engines record the rates the epoch ran at, for either profile kind
+        targets = DecisionProfile(targets=rng.integers(0, 9, size=9))
+        for profile in (DecisionProfile(offload=a), targets):
+            out = run_epoch(q0, profile, topo, 0.9, mu, 5, 3.0, rng, engine)
+            assert np.array_equal(out.arrival_rates, profile_rates(profile, topo, 0.9))
 
 
 @pytest.mark.parametrize("engine", ["bank", "reference"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from sparselb.env import LoadBalanceEnv
 from sparselb.nn import STD_FLOOR, Mlp, PolicyParameters, n_params
 from sparselb.policies import MfrPolicy, OwnPolicy, StaticZetaPolicy
 from sparselb.simulator import SystemParams, run_episode
@@ -17,6 +18,10 @@ from sparselb.trainer import (Adam, CemConfig, RolloutBatch, TrainerConfig,
 
 TOPO = build_cyc1d(5)
 PARAMS = SystemParams()
+
+
+def tiny_env():
+    return LoadBalanceEnv(TOPO, PARAMS, 1.0, 5)
 
 
 def tiny_cfg(**kw):
@@ -100,32 +105,46 @@ def test_collect_batch_deterministic():
     cfg = tiny_cfg()
     rng = np.random.default_rng(0)
     policy = PolicyParameters.init(5, cfg.hidden, rng)
-    a = collect_batch(TOPO, PARAMS, 1.0, 5, cfg, policy, seed=7)
-    b = collect_batch(TOPO, PARAMS, 1.0, 5, cfg, policy, seed=7)
+    a = collect_batch(tiny_env(), cfg, policy, seed=7)
+    b = collect_batch(tiny_env(), cfg, policy, seed=7)
     assert a.size >= cfg.batch_size
     assert np.array_equal(a.obs, b.obs)
     assert np.array_equal(a.actions, b.actions)
     assert np.array_equal(a.rewards, b.rewards)
     assert np.array_equal(a.logp_old, b.logp_old)
-    c = collect_batch(TOPO, PARAMS, 1.0, 5, cfg, policy, seed=8)
+    c = collect_batch(tiny_env(), cfg, policy, seed=8)
     assert not np.array_equal(a.actions, c.actions)
 
 
 def test_collect_batch_worker_invariance():
     rng = np.random.default_rng(1)
     policy = PolicyParameters.init(5, (8,), rng)
-    one = collect_batch(TOPO, PARAMS, 1.0, 5, tiny_cfg(workers=1), policy, seed=3)
-    two = collect_batch(TOPO, PARAMS, 1.0, 5, tiny_cfg(workers=2), policy, seed=3)
+    one = collect_batch(tiny_env(), tiny_cfg(workers=1), policy, seed=3)
+    two = collect_batch(tiny_env(), tiny_cfg(workers=2), policy, seed=3)
     assert np.array_equal(one.obs, two.obs)
     assert np.array_equal(one.actions, two.actions)
     assert np.array_equal(one.rewards, two.rewards)
+
+
+def test_collect_batch_ignores_env_left_mid_episode():
+    # the env is shared by every rollout of a run, so reset must clear all of it
+    cfg = tiny_cfg()
+    policy = PolicyParameters.init(5, cfg.hidden, np.random.default_rng(12))
+    used = tiny_env()
+    used.reset(99)
+    used.step(np.full(6, 0.7))
+    used.step(np.full(6, 0.2))
+    a = collect_batch(used, cfg, policy, seed=4)
+    b = collect_batch(tiny_env(), cfg, policy, seed=4)
+    for field in ("obs", "actions", "mu_old", "logp_old", "rewards", "episode_starts"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
 def test_collect_batch_logp_consistent():
     cfg = tiny_cfg()
     rng = np.random.default_rng(2)
     policy = PolicyParameters.init(5, cfg.hidden, rng)
-    batch = collect_batch(TOPO, PARAMS, 1.0, 5, cfg, policy, seed=11)
+    batch = collect_batch(tiny_env(), cfg, policy, seed=11)
     want = _gaussian_logp(batch.actions, batch.mu_old, batch.sigma_old)
     assert np.array_equal(batch.logp_old, want)
     assert np.array_equal(batch.sigma_old, policy.std)
@@ -135,7 +154,7 @@ def test_policy_gradient_matches_finite_difference():
     cfg = tiny_cfg(hidden=(6,))
     rng = np.random.default_rng(3)
     policy = PolicyParameters.init(5, cfg.hidden, rng)
-    batch = collect_batch(TOPO, PARAMS, 1.0, 5, cfg, policy, seed=5)
+    batch = collect_batch(tiny_env(), cfg, policy, seed=5)
     critic = Mlp.init((6, 4, 1), rng)
     compute_advantages(batch, critic, 0.99, 1.0)
     idx = np.arange(batch.size)
@@ -172,7 +191,7 @@ def test_critic_gradient_matches_finite_difference():
     cfg = tiny_cfg(hidden=(6,))
     rng = np.random.default_rng(4)
     policy = PolicyParameters.init(5, cfg.hidden, rng)
-    batch = collect_batch(TOPO, PARAMS, 1.0, 5, cfg, policy, seed=6)
+    batch = collect_batch(tiny_env(), cfg, policy, seed=6)
     critic = Mlp.init((6, 5, 1), rng)
     compute_advantages(batch, critic, 0.99, 1.0)
     idx = np.arange(batch.size)
@@ -222,7 +241,7 @@ def test_zero_advantage_leaves_policy_untouched():
     rng = np.random.default_rng(5)
     policy = PolicyParameters.init(5, cfg.hidden, rng)
     state = init_train_state(policy, cfg, rng)
-    batch = collect_batch(TOPO, PARAMS, 1.0, 5, cfg, policy, seed=13)
+    batch = collect_batch(tiny_env(), cfg, policy, seed=13)
     critic = Mlp(state.critic_sizes, state.critic_flat)
     compute_advantages(batch, critic, cfg.gamma, cfg.gae_lambda)
     batch.advantages = np.zeros(batch.size)
@@ -238,7 +257,7 @@ def test_kl_coeff_adaptation():
     rng = np.random.default_rng(6)
     policy = PolicyParameters.init(5, cfg.hidden, rng)
     state = init_train_state(policy, cfg, rng)
-    batch = collect_batch(TOPO, PARAMS, 1.0, 5, cfg, policy, seed=17)
+    batch = collect_batch(tiny_env(), cfg, policy, seed=17)
     compute_advantages(batch, Mlp(state.critic_sizes, state.critic_flat),
                        cfg.gamma, cfg.gae_lambda)
     diag = ppo_update(state, batch, cfg, np.random.default_rng(1))
@@ -249,7 +268,7 @@ def test_kl_coeff_adaptation():
     cfg = tiny_cfg(learning_rate=0.5, sgd_iters=4, kl_coeff=0.2)
     policy = PolicyParameters.init(5, cfg.hidden, np.random.default_rng(6))
     state = init_train_state(policy, cfg, np.random.default_rng(6))
-    batch = collect_batch(TOPO, PARAMS, 1.0, 5, cfg, policy, seed=17)
+    batch = collect_batch(tiny_env(), cfg, policy, seed=17)
     compute_advantages(batch, Mlp(state.critic_sizes, state.critic_flat),
                        cfg.gamma, cfg.gae_lambda)
     diag = ppo_update(state, batch, cfg, np.random.default_rng(1))
@@ -263,7 +282,7 @@ def test_nonfinite_batch_aborts_without_stepping():
     rng = np.random.default_rng(7)
     policy = PolicyParameters.init(5, cfg.hidden, rng)
     state = init_train_state(policy, cfg, rng)
-    batch = collect_batch(TOPO, PARAMS, 1.0, 5, cfg, policy, seed=19)
+    batch = collect_batch(tiny_env(), cfg, policy, seed=19)
     compute_advantages(batch, Mlp(state.critic_sizes, state.critic_flat),
                        cfg.gamma, cfg.gae_lambda)
     batch.advantages[0] = np.nan
@@ -285,8 +304,9 @@ def test_evaluate_params_matches_batch_runner():
     policy = PolicyParameters.init(5, (4,), np.random.default_rng(8))
     policy.weights[:] = 0.0
     zeta = np.full(6, 0.5)
+    env = LoadBalanceEnv(TOPO, PARAMS, 2.0, 10)
     for seed in (1, 2, 3):
-        got = evaluate_params(TOPO, PARAMS, 2.0, 10, policy, [seed])
+        got = evaluate_params(env, policy, [seed])
         res = run_episode(TOPO, StaticZetaPolicy(zeta), 10, 2.0, PARAMS,
                           seed=seed)
         assert got == pytest.approx(-res.total_drops)
