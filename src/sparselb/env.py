@@ -23,8 +23,6 @@ __all__ = ["McTransition", "LoadBalanceEnv"]
 
 @dataclass(frozen=True)
 class McTransition:
-    observation: np.ndarray
-    action: np.ndarray
     reward: float
     next_observation: np.ndarray
 
@@ -89,14 +87,13 @@ class LoadBalanceEnv(Episode):
         if np.any(zeta < 0.0) or np.any(zeta > 1.0):
             warnings.warn("offload probabilities clamped into [0, 1]")
             zeta = np.clip(zeta, 0.0, 1.0)
-        obs = self.observation()
         start = self.queues
         out = self.advance(DecisionProfile(offload=zeta[start]))
         if self.reward_mode == "expected":
             drops = self._expected_epoch_drops(out.arrival_rates, start)
         else:
             drops = float(out.drops.sum())
-        return McTransition(obs, zeta, -drops / self.topology.n_nodes, self.observation())
+        return McTransition(-drops / self.topology.n_nodes, self.observation())
 
     def _expected_epoch_drops(self, rates: np.ndarray, start: np.ndarray) -> float:
         # variance-reduced reward: conditional expectation given the

@@ -64,7 +64,8 @@ def effective_rates(topology, offload, base_rate: float) -> np.ndarray:
     if pad.shape[1] == 0:
         inflow = np.zeros(topology.n_nodes)
     else:
-        cols = np.where(topology.padded_mask, share[np.where(pad >= 0, pad, 0)], 0.0)
+        # padded cells read share[-1] and are zeroed by the mask
+        cols = np.where(topology.padded_mask, share[pad], 0.0)
         while cols.shape[1] > 1:
             if cols.shape[1] % 2:
                 cols = np.concatenate([cols, np.zeros((cols.shape[0], 1))], axis=1)

@@ -158,8 +158,6 @@ def checked_queues(queues, buffer: int | None, *rates) -> tuple:
 # ---- default engine: independent per-queue birth-death bank ----
 
 
-# Rows of uniforms drawn at once: a (CHUNK, n) block, whatever the tick count.
-CHUNK = 16
 # Ticks per table lookup: the arrival bits of WALK ticks pack into one byte.
 WALK = 8
 _ROW = WALK << 8                                      # entries per fill class
@@ -186,8 +184,9 @@ def _walk_key(fill_class, live, pattern):
 @functools.lru_cache(maxsize=8)
 def _walk_table(buffer: int):
     """The outcome of every WALK-tick walk at ``buffer``: int8 change of
-    fill, and int64 drops + (idle service attempts << 32).  Bit r of the
-    pattern is an arrival at tick r, else a service attempt."""
+    fill, int64 drops + (idle service attempts << 32), and the key offset
+    ``base[fill]`` of each fill 0..buffer.  Bit r of the pattern is an
+    arrival at tick r, else a service attempt."""
     # every fill within WALK of a boundary, once each: they cover every class
     z0 = np.r_[0:min(buffer, WALK) + 1, max(buffer - WALK, WALK + 1):buffer + 1]
     room = np.minimum(buffer - z0, WALK).astype(np.int8)[:, None, None]
@@ -207,8 +206,10 @@ def _walk_table(buffer: int):
     tally = np.zeros_like(dfill, dtype=np.int64)
     dfill[key] = d
     tally[key] = drops + (idle.astype(np.int64) << 32)
-    dfill.flags.writeable = tally.flags.writeable = False    # shared by every call
-    return dfill, tally
+    base = _walk_key(_fill_class(np.arange(buffer + 1), buffer), WALK, 0)
+    for a in (dfill, tally, base):
+        a.flags.writeable = False                          # shared by every call
+    return dfill, tally, base
 
 
 def simulate_queue_bank(queues, arrival_rates, service_rates, buffer: int,
@@ -219,16 +220,17 @@ def simulate_queue_bank(queues, arrival_rates, service_rates, buffer: int,
     tick is an arrival with the arrival fraction (dropped when the queue
     is full) and otherwise a service attempt (a no-op on an empty queue).
     Ticks are Poisson, so arrivals per queue are Poisson at the arrival
-    rate.  The random stream is the tick counts, then one uniform per
-    (tick, queue) in row-major (kmax, n) order, drawn in blocks of CHUNK
-    rows.  Each block's arrival bits are packed, WALK rows to a byte per
-    queue, before they are gathered into the order of descending tick
-    count, so step s walks only the prefix of queues that still have a
-    tick s.  One step advances WALK ticks: it looks the change of fill,
-    the drops and the idle service attempts up in the buffer's walk table
-    by (boundary class of the fill, live ticks, arrival bits).  Arrivals
-    and services follow from arrivals + services + idle = ticks and
-    arrivals - drops - services = change of fill.
+    rate.  The queues are walked in the order of descending tick count
+    (ties in input order), WALK ticks a step.  The random stream is the
+    tick counts, then for each step s = 0, WALK, 2 * WALK, ... one
+    (WALK, m) block of uniforms, where m is the number of queues with
+    more than s ticks and row r holds tick s + r of those queues in walk
+    order; uniforms past a queue's last tick are drawn and ignored.  The
+    block's arrival bits pack into one byte per queue, and the step looks
+    the change of fill, the drops and the idle service attempts up in the
+    buffer's walk table by (boundary class of the fill, live ticks,
+    arrival bits).  Arrivals and services follow from arrivals + services
+    + idle = ticks and arrivals - drops - services = change of fill.
 
     Returns (next_queues, drops, arrivals, services).
     """
@@ -239,34 +241,31 @@ def simulate_queue_bank(queues, arrival_rates, service_rates, buffer: int,
     kmax = int(counts.max()) if n else 0
     if kmax == 0:
         return q, *np.zeros((3, n), dtype=np.int64)
-    p_arrive = np.divide(lam, total, out=np.zeros_like(lam), where=total > 0)
     # descending tick counts; a stable sort of small unsigned keys is a radix sort
     order = np.argsort((kmax - counts).astype(np.min_scalar_type(kmax)), kind="stable")
     ticks = counts[order]
+    p_arrive = np.divide(lam, total, out=np.zeros_like(lam), where=total > 0)[order]
     live_n = np.zeros(kmax + WALK, dtype=np.int64)         # queues with a tick s
     live_n[:kmax] = n - np.cumsum(np.bincount(counts))[:kmax]
-    dfill, tally = _walk_table(buffer)
+    # a queue's last step walks (ticks - 1) % WALK + 1 ticks
+    short = ((ticks - 1) % WALK + 1 - WALK) << 8
+    dfill, tally, base = _walk_table(buffer)
     z = q[order]
     acc = np.zeros(n, dtype=np.int64)                      # drops + (idle << 32)
-    u = np.empty((CHUNK, n))
-    arrive = np.empty((CHUNK, n), dtype=bool)
-    for s0 in range(0, kmax, CHUNK):
-        c = min(CHUNK, kmax - s0)
-        steps = -(-c // WALK)
-        rng.random(out=u[:c])
-        np.less(u[:c], p_arrive, out=arrive[:c])
-        arrive[c:steps * WALK] = False                     # pad to whole bytes
-        bits = arrive[:steps * WALK].reshape(steps, WALK, n).view(np.uint8) * _BIT
-        patterns = bits.sum(axis=1, dtype=np.uint8)
-        for b in range(steps):
-            s = s0 + b * WALK
-            m, m_full = live_n[s], live_n[s + WALK - 1]    # queues with 1+ / WALK ticks left
-            key = _fill_class(z[:m], buffer)               # _walk_key, in place
-            key *= _ROW
-            key += patterns[b].take(order[:m])
-            key[m_full:] += (ticks[m_full:m] - s - WALK) << 8
-            z[:m] += dfill.take(key)
-            acc[:m] += tally.take(key)
+    u = np.empty(WALK * n)
+    arrive = np.empty(WALK * n, dtype=np.uint8)
+    for s in range(0, kmax, WALK):
+        m, m_full = live_n[s], live_n[s + WALK - 1]        # queues with 1+ / WALK ticks left
+        block = u[:WALK * m].reshape(WALK, m)
+        rng.random(out=block)
+        bits = arrive[:WALK * m].reshape(WALK, m)
+        np.less(block, p_arrive[:m], out=bits.view(bool))
+        bits *= _BIT                                       # row r is bit r
+        key = base.take(z[:m])
+        key += bits.sum(axis=0, dtype=np.uint8)
+        key[m_full:] += short[m_full:m]
+        z[:m] += dfill.take(key)
+        acc[:m] += tally.take(key)
     out = np.empty((3, n), dtype=np.int64)                 # back in input order
     out[0, order] = z
     out[1, order] = acc & 0xFFFFFFFF                       # tick counts stay below 2**32

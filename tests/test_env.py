@@ -32,7 +32,6 @@ def test_step_shapes_and_reward_sign():
     steps = 0
     while not env.done:
         tr = env.step(threshold_zeta(5))
-        assert tr.observation.shape == (6,)
         assert tr.next_observation.shape == (6,)
         assert tr.reward <= 0.0
         total += tr.reward

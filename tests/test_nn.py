@@ -7,6 +7,30 @@ from sparselb.nn import (STD_FLOOR, Mlp, PolicyParameters, load_policy_parameter
                          n_params, policy_zeta, save_policy_parameters, sigmoid)
 
 
+def masked_sigmoid(x):
+    """The earlier masked formula, kept as an oracle."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_masked_formula_bit_for_bit():
+    rng = np.random.default_rng(0)
+    edges = np.array([0.0, -0.0, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf,
+                      5e-324, -5e-324, 36.7, -36.7, 709.8, -709.8])
+    scales = 10.0 ** np.arange(-3, 3)
+    x = np.concatenate([edges, (rng.standard_normal((6, 5000)) * scales[:, None]).ravel(),
+                        rng.uniform(-800.0, 800.0, 5000)])
+    got, want = sigmoid(x), masked_sigmoid(x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    m = x.reshape(-1, 2)[:6]                  # a batch shape, as the MLP gives
+    assert np.array_equal(sigmoid(m), masked_sigmoid(m))
+
+
 def test_sigmoid_stable_and_correct():
     assert sigmoid(np.array([0.0]))[0] == 0.5
     assert sigmoid(np.array([800.0]))[0] == 1.0

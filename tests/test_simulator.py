@@ -10,7 +10,7 @@ from scipy import stats
 
 from sparselb.kernel import effective_rates, epoch_law_table, expected_drops_table
 from sparselb.policies import OwnPolicy, RndPolicy, StaticZetaPolicy, threshold_zeta
-from sparselb.simulator import (CHUNK, DecisionProfile, EpochOutcome, Episode,
+from sparselb.simulator import (DecisionProfile, EpochOutcome, Episode,
                                 SystemParams, empirical_distribution, init_queues,
                                 profile_rates, run_epoch, run_episode,
                                 simulate_queue_bank)
@@ -199,6 +199,34 @@ def test_queue_bank_matches_kernel_marginal():
     assert abs(drops.mean() - want) < 3.0 * se + 1e-12
 
 
+@pytest.mark.parametrize("seed, lam, mu, b, dt, z0", [
+    (0, 0.8, 1.0, 4, 2.0, 1),       # one walk step, mostly short walks
+    (1, 0.9, 0.0, 5, 3.0, 3),       # no service: every tick is an arrival
+    (2, 6.0, 0.5, 5, 2.0, 5),       # arrivals far above service, start full
+    (3, 0.9, 1.0, 5, 10.0, 0),      # start empty, several walk steps
+    (4, 1.5, 1.0, 20, 10.0, 20),    # start full, a buffer past 2 * WALK
+])
+def test_queue_bank_law_at_every_walk_position(seed, lam, mu, b, dt, z0):
+    # one queue replicated 40000 times among 40000 queues at random rates
+    # and fills, so its copies sit at every position of the walk order and
+    # share their uniform blocks with others: the copies must follow the
+    # exact epoch law (TV < 0.01) and drop mean (|z| < 4)
+    copies = 40_000
+    rng = np.random.default_rng(seed)
+    is_copy = rng.permutation(2 * copies) < copies
+    q0 = rng.integers(0, b + 1, size=2 * copies)
+    lam_v = rng.uniform(0.0, 2.0 * (lam + mu), size=2 * copies)
+    mu_v = rng.uniform(0.0, lam + mu, size=2 * copies)
+    q0[is_copy], lam_v[is_copy], mu_v[is_copy] = z0, lam, mu
+    nq, drops, _, _ = simulate_queue_bank(q0, lam_v, mu_v, b, dt, rng)
+    law = epoch_law_table(lam, mu, b, dt)[0][:, z0]
+    emp = np.bincount(nq[is_copy], minlength=b + 1) / copies
+    assert 0.5 * np.abs(emp - law).sum() < 0.01
+    d = drops[is_copy]
+    want = expected_drops_table(lam, mu, b, dt)[0, z0]
+    assert abs(d.mean() - want) < 4.0 * d.std(ddof=1) / np.sqrt(copies) + 1e-12
+
+
 def test_engines_agree_in_distribution():
     # same frozen profile on a 3-cycle: per-queue marginals and drop means
     topo = build_cyc1d(3)
@@ -373,7 +401,11 @@ def test_episode_conserves_packets_per_queue(system):
 
 
 def bank_oracle(queues, arrival_rates, service_rates, buffer, delta_t, rng):
-    """Frozen copy of the original bank loop: every tick masks all n queues."""
+    """Per-tick reading of the bank's random stream: the tick counts, then
+    for each step s = 0, WALK, ... one (WALK, m) block of uniforms over the
+    m queues with more than s ticks, in the order of descending tick count
+    (ties in input order), row r for tick s + r.  Each tick then masks all
+    n queues."""
     q = np.asarray(queues, dtype=np.int64).copy()
     lam = np.asarray(arrival_rates, dtype=np.float64)
     mu = np.asarray(service_rates, dtype=np.float64)
@@ -387,21 +419,25 @@ def bank_oracle(queues, arrival_rates, service_rates, buffer, delta_t, rng):
     if kmax == 0:
         return q, drops, arrivals, services
     p_arrive = np.divide(lam, total, out=np.zeros_like(lam), where=total > 0)
-    u = rng.random((kmax, n))
+    order = np.argsort(-counts, kind="stable")
     one = np.int64(1)
-    for s in range(kmax):
-        live = counts > s
-        arr = live & (u[s] < p_arrive)
-        svc = live & ~arr
-        full = q >= buffer
-        hit = arr & full
-        grow = arr & ~full
-        shrink = svc & (q > 0)
-        np.add(drops, one, out=drops, where=hit)
-        np.add(arrivals, one, out=arrivals, where=arr)
-        np.add(services, one, out=services, where=shrink)
-        np.add(q, one, out=q, where=grow)
-        np.subtract(q, one, out=q, where=shrink)
+    for s0 in range(0, kmax, WALK):
+        m = int(np.count_nonzero(counts > s0))
+        u = np.ones((WALK, n))              # a uniform of 1 is never an arrival
+        u[:, order[:m]] = rng.random((WALK, m))
+        for s in range(s0, s0 + WALK):
+            live = counts > s
+            arr = live & (u[s - s0] < p_arrive)
+            svc = live & ~arr
+            full = q >= buffer
+            hit = arr & full
+            grow = arr & ~full
+            shrink = svc & (q > 0)
+            np.add(drops, one, out=drops, where=hit)
+            np.add(arrivals, one, out=arrivals, where=arr)
+            np.add(services, one, out=services, where=shrink)
+            np.add(q, one, out=q, where=grow)
+            np.subtract(q, one, out=q, where=shrink)
     return q, drops, arrivals, services
 
 
@@ -428,10 +464,11 @@ def test_queue_bank_matches_oracle(data):
 
 @pytest.mark.parametrize("buffer", [1, 5])
 @pytest.mark.parametrize("n", [1, 7])
-@pytest.mark.parametrize("kmax", [0, 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("kmax", [0, 1, WALK, WALK + 1, 2 * WALK, 2 * WALK + 1])
 def test_queue_bank_matches_oracle_at_chunk_edges(kmax, n, buffer):
-    # the first seed whose largest tick count is exactly kmax; n=7 includes a
-    # queue with no arrivals, one with no service and one with neither
+    # the first seed whose largest tick count is exactly kmax, at the edges
+    # of the WALK-tick blocks of uniforms; n=7 includes a queue with no
+    # arrivals, one with no service and one with neither
     lam = np.array([0.9, 0.0, 1.5, 0.4, 0.0, 2.0, 0.7])[:n]
     mu = np.array([1.0, 1.0, 0.0, 0.5, 0.0, 1.0, 1.0])[:n]
     total = lam + mu
@@ -457,8 +494,9 @@ def test_queue_bank_drops_at_a_full_buffer(buffer):
 @pytest.mark.parametrize("buffer", [1, 5, 8, 16, 17, 32767])
 def test_walk_table_matches_brute_force(buffer):
     # walk every start fill through every arrival pattern one tick at a
-    # time: after r + 1 ticks it must read the entry for r + 1 live ticks
-    dfill, tally = _walk_table(buffer)
+    # time: after r + 1 ticks it must read the entry for r + 1 live ticks,
+    # both at the key _walk_key gives and at the engine's base[fill] form
+    dfill, tally, base = _walk_table(buffer)
     pattern = np.arange(256)
     for lo in range(0, buffer + 1, 4096):
         start = np.arange(lo, min(lo + 4096, buffer + 1))[:, None]
@@ -471,19 +509,20 @@ def test_walk_table_matches_brute_force(buffer):
             idle += ~arrive & empty
             fill = fill + (arrive & ~full) - (~arrive & ~empty)
             key = _walk_key(_fill_class(start, buffer), r + 1, pattern)
+            assert np.array_equal(key, base[start] + ((r + 1 - WALK) << 8) + pattern)
             assert np.array_equal(dfill[key], fill - start)
             assert np.array_equal(tally[key], drops + (idle << 32))
 
 
 def test_queue_bank_memory_is_bounded_by_the_chunk():
-    # Bound, fixed before measuring: one block of CHUNK rows holds the
-    # float64 uniforms and their bool comparison (9 bytes an entry) and at
-    # most 7 bytes an entry of int8/bool blocks over the live queues, so
-    # 16 * CHUNK * n bytes; the per-queue vectors (rates, tick counts, sort
-    # order, tallies, outputs) stay under 256 * n bytes.  At dt=200 the mean
-    # tick count is 380, so one (kmax, n) float64 draw alone would be ~6 MB.
+    # Bound, fixed before measuring: the one (WALK, n) block holds the
+    # float64 uniforms and their comparison, packed in place (9 bytes an
+    # entry, 16 allowed), so 16 * WALK * n bytes; the per-queue vectors
+    # (rates, tick counts, sort order, keys, lookups, tallies, outputs) stay
+    # under 256 * n bytes.  At dt=200 the mean tick count is 380, so one
+    # (kmax, n) float64 draw alone would be ~6 MB.
     n, delta_t = 2000, 200.0
-    bound = 16 * CHUNK * n + 256 * n
+    bound = 16 * WALK * n + 256 * n
     queues, lam, mu = np.zeros(n, dtype=np.int64), np.full(n, 0.9), np.ones(n)
     rng = np.random.default_rng(5)
     tracemalloc.start()

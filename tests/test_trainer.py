@@ -5,7 +5,7 @@ import pytest
 from scipy import stats as sps
 
 from sparselb.env import LoadBalanceEnv
-from sparselb.nn import STD_FLOOR, Mlp, PolicyParameters, n_params
+from sparselb.nn import STD_FLOOR, Mlp, PolicyParameters, n_params, sigmoid
 from sparselb.policies import MfrPolicy, OwnPolicy, StaticZetaPolicy
 from sparselb.simulator import SystemParams, run_episode
 from sparselb.topology import build_cyc1d, from_edges
@@ -235,16 +235,23 @@ def test_clipped_out_sample_has_zero_gradient():
 
 
 def test_zero_advantage_leaves_policy_untouched():
-    # standardized zero advantages and a fresh batch (mu_old equals the
-    # current network output) produce an exactly zero policy gradient
-    cfg = tiny_cfg()
+    # standardized zero advantages and mu_old equal to the update's own
+    # network output produce an exactly zero policy gradient.  The rollout's
+    # batch-1 forwards need not round like a batched forward, so mu_old is
+    # set from the one forward the update makes: one minibatch of the whole
+    # batch, one pass, rows in the order its rng permutes them.
+    cfg = tiny_cfg(minibatch_size=20, sgd_iters=1)
     rng = np.random.default_rng(5)
     policy = PolicyParameters.init(5, cfg.hidden, rng)
     state = init_train_state(policy, cfg, rng)
     batch = collect_batch(tiny_env(), cfg, policy, seed=13)
+    assert batch.size == cfg.minibatch_size
     critic = Mlp(state.critic_sizes, state.critic_flat)
     compute_advantages(batch, critic, cfg.gamma, cfg.gae_lambda)
     batch.advantages = np.zeros(batch.size)
+    perm = np.random.default_rng(0).permutation(batch.size)
+    out, _ = Mlp(policy.layer_sizes, policy.weights).forward(batch.obs[perm])
+    batch.mu_old[perm] = sigmoid(out)
     w_before = state.policy.weights.copy()
     ls_before = state.policy.log_std.copy()
     ppo_update(state, batch, cfg, np.random.default_rng(0))
