@@ -32,8 +32,7 @@ class LoadBalanceEnv(Episode):
 
     def __init__(self, topology, params: SystemParams, delta_t: float,
                  horizon: int, observation_mode: str = "global",
-                 designated_agent: int = 0, observe_rate: bool = False,
-                 reward_mode: str = "realized"):
+                 observe_rate: bool = False, reward_mode: str = "realized"):
         super().__init__(topology, params, delta_t)
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
@@ -41,11 +40,8 @@ class LoadBalanceEnv(Episode):
             raise ValueError(f"unknown observation_mode {observation_mode!r}")
         if reward_mode not in ("realized", "expected"):
             raise ValueError(f"unknown reward_mode {reward_mode!r}")
-        if not (0 <= designated_agent < topology.n_nodes):
-            raise ValueError("designated_agent out of range")
         self.horizon = int(horizon)
         self.observation_mode = observation_mode
-        self.designated_agent = designated_agent
         self.observe_rate = observe_rate
         self.reward_mode = reward_mode
 
@@ -56,12 +52,12 @@ class LoadBalanceEnv(Episode):
         return self.params.buffer + 1 + (1 if self.observe_rate else 0)
 
     def observation(self) -> np.ndarray:
-        """The deployed policy's observation; the designated agent's row
-        outside global mode, then the normalized rate if observed."""
+        """The deployed policy's observation; scheduler 0's row outside
+        global mode, then the normalized rate if observed."""
         obs = observations(self.queues, self.topology, self.params.buffer,
                            self.observation_mode)
         if self.observation_mode != "global":
-            obs = obs[self.designated_agent]
+            obs = obs[0]
         if self.observe_rate:
             obs = np.append(obs, self.rate / self.params.rate_high)
         return obs

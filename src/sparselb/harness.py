@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from . import topology as topo_mod
-from .policies import make_policy
+from .policies import _entry, make_policy
 from .seeding import derive_seed, parallel_map
 from .simulator import SystemParams, run_episode
 
@@ -49,10 +49,14 @@ class ExperimentConfig:
     horizon: int = 50
     seed: int = 0
     workers: int = 1
-    engine: str = "bank"
     params: SystemParams = field(default_factory=SystemParams)
     record_trace: bool = False
     trainer: dict = field(default_factory=dict)     # read by the train command
+
+    def __post_init__(self) -> None:
+        for name in ("episodes", "horizon"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -111,11 +115,10 @@ def topology_key(spec: dict) -> str:
 def policy_key(spec) -> str:
     if isinstance(spec, str):
         return spec
-    if spec.get("kind") == "mfr":
-        return spec.get("name", "mfr")
-    if spec.get("kind") == "static":
-        return spec.get("name", "static")
-    return spec["kind"]
+    kind = _entry(spec, "kind")
+    if kind in ("mfr", "static"):
+        return spec.get("name", kind)
+    return kind
 
 
 def episode_seed(master: int, topo_key: str, pol_key: str, delta_t: float,
@@ -142,19 +145,19 @@ def evaluate(topology, policy_spec, delta_t: float, cfg: ExperimentConfig,
              topo_key: str | None = None, trace_path=None) -> CellResult:
     """Evaluate one cell; per-episode seeds fix the content completely.
 
-    With ``cfg.record_trace`` and a ``trace_path``, one JSON row per
-    episode and epoch goes there, read from the episode records.
+    With a ``trace_path``, one JSON row per episode and epoch goes there,
+    read from the episode records.
     """
     tkey = topo_key if topo_key is not None else "custom"
     pkey = policy_key(policy_spec)
     t0 = time.perf_counter()
     run = partial(run_episode, topology, make_policy(policy_spec, cfg.params.buffer),
-                  cfg.horizon, delta_t, cfg.params, engine=cfg.engine)
+                  cfg.horizon, delta_t, cfg.params)
     seeds = [episode_seed(cfg.seed, tkey, pkey, delta_t, e) for e in range(cfg.episodes)]
     results = parallel_map(run, seeds, cfg.workers)
     totals = [r.total_drops for r in results]
     seconds = time.perf_counter() - t0
-    if trace_path is not None and cfg.record_trace:
+    if trace_path is not None:
         with open(trace_path, "w") as fh:
             for e, r in enumerate(results):
                 for t in range(cfg.horizon):
@@ -241,20 +244,6 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.12g}"
     return str(v)
-
-
-def read_results_csv(path) -> list:
-    out = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            vals = line.strip().split(",")
-            row = dict(zip(header, vals))
-            for k in ("delta_t", "mean_drops", "ci95", "seconds"):
-                row[k] = float(row[k])
-            row["episodes"] = int(row["episodes"])
-            out.append(row)
-    return out
 
 
 def compare_ranking(cells) -> dict:

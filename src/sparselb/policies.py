@@ -153,25 +153,27 @@ class MfrPolicy:
                 "observe_rate=True also read the arrival rate and cannot run here")
         self.params = params
 
-    def observations(self, queues, topology) -> np.ndarray:
-        return observations(queues, topology, self.params.buffer,
-                            self.params.observation_mode)
-
     def profile(self, queues, topology, service_rates) -> DecisionProfile:
         q, = _node_fills(queues, topology, self.params.buffer)
-        obs = self.observations(q, topology)
-        if obs.ndim == 1:
-            zeta = policy_zeta(self.params, obs)
-            return DecisionProfile(offload=zeta[q])
+        obs = observations(q, topology, self.params.buffer, self.params.observation_mode)
         zeta = policy_zeta(self.params, obs)
+        if obs.ndim == 1:
+            return DecisionProfile(offload=zeta[q])
         return DecisionProfile(offload=zeta[np.arange(topology.n_nodes), q])
+
+
+def _entry(spec, key: str):
+    """``spec[key]``; a missing key is a ValueError that names it."""
+    if key not in spec:
+        raise ValueError(f"policy spec {spec!r} has no {key!r} key")
+    return spec[key]
 
 
 def make_policy(spec, buffer: int):
     """Build a policy from a config entry (string or {kind: ...} mapping)."""
     if isinstance(spec, str):
         spec = {"kind": spec}
-    kind = spec["kind"].lower()
+    kind = _entry(spec, "kind").lower()
     if kind == "jsq":
         return JsqPolicy()
     if kind == "sed":
@@ -183,9 +185,13 @@ def make_policy(spec, buffer: int):
     if kind == "threshold":
         return StaticZetaPolicy(threshold_zeta(buffer))
     if kind == "static":
-        return StaticZetaPolicy(np.asarray(spec["zeta"], dtype=np.float64))
+        zeta = np.asarray(_entry(spec, "zeta"), dtype=np.float64)
+        if zeta.shape != (buffer + 1,):
+            raise ValueError(f"static zeta must hold one offload probability per fill "
+                             f"level 0..{buffer} ({buffer + 1}), not shape {zeta.shape}")
+        return StaticZetaPolicy(zeta)
     if kind == "mfr":
-        params = load_policy_parameters(spec["checkpoint"])
+        params = load_policy_parameters(_entry(spec, "checkpoint"))
         if params.buffer != buffer:
             raise ValueError("checkpoint buffer size differs from the experiment")
         return MfrPolicy(params)

@@ -6,18 +6,14 @@ packets arrive at each scheduler at the shared modulated rate, are routed
 per the frozen rule, and each nonempty queue serves at its service rate.
 Arrivals to a full queue are dropped and attributed to that queue.
 
-Two engines produce samples of the same law:
-
-* the default bank engine exploits the fact that per-packet routing thins
-  each scheduler's Poisson stream into independent per-queue Poisson
-  streams at the effective rates, so every queue can be advanced as an
-  independent birth-death chain; the walk is vectorized across queues
-  and takes 8 ticks per step, looking the outcome of each queue's next 8
-  arrival/service bits up in a table built once per buffer (this is what
-  makes systems of several thousand queues cheap);
-* the reference engine runs the literal global race of competing
-  exponential clocks with per-packet routing, one event at a time.  It is
-  slow and exists to back the distributional cross-checks in the tests.
+Every queue is advanced as an independent birth-death chain: per-packet
+routing thins each scheduler's Poisson stream into independent per-queue
+Poisson streams at the effective rates.  The walk is vectorized across
+queues and takes 8 ticks per step, looking the outcome of each queue's
+next 8 arrival/service bits up in a table built once per buffer (this is
+what makes systems of several thousand queues cheap).  The literal race
+of competing exponential clocks with per-packet routing samples the same
+law one event at a time; it is kept beside the tests as their oracle.
 """
 from __future__ import annotations
 
@@ -55,8 +51,8 @@ class SystemParams:
     start_distribution: tuple | None = None
 
     def __post_init__(self) -> None:
-        if self.buffer < 1:
-            raise ValueError("buffer must be >= 1")
+        if not isinstance(self.buffer, (int, np.integer)) or self.buffer < 1:
+            raise ValueError(f"buffer must be an integer >= 1, not {self.buffer!r}")
         if not (0.0 <= self.rate_low <= self.rate_high):
             raise ValueError("need 0 <= rate_low <= rate_high")
         for p in (self.p_high_to_low, self.p_low_to_high):
@@ -155,7 +151,7 @@ def checked_queues(queues, buffer: int | None, *rates) -> tuple:
     return (q, *rates)
 
 
-# ---- default engine: independent per-queue birth-death bank ----
+# ---- independent per-queue birth-death bank ----
 
 
 # Ticks per table lookup: the arrival bits of WALK ticks pack into one byte.
@@ -275,61 +271,8 @@ def simulate_queue_bank(queues, arrival_rates, service_rates, buffer: int,
     return nq, drops, arrivals, counts - arrivals - idle
 
 
-# ---- reference engine: literal global clock race ----
-
-
-def _gillespie_epoch(queues, profile: DecisionProfile, topology, base_rate: float,
-                     service_rates, buffer: int, delta_t: float,
-                     rng: np.random.Generator, holding_out: list | None = None):
-    q, mu = checked_queues(queues, buffer, service_rates)
-    n = q.size
-    drops = np.zeros(n, dtype=np.int64)
-    arrivals = np.zeros(n, dtype=np.int64)
-    services = np.zeros(n, dtype=np.int64)
-    if profile.offload is not None:
-        # degree-0 schedulers have nowhere to forward
-        off = np.where(topology.degrees > 0,
-                       _kernel.checked_offload(profile.offload, topology.n_nodes), 0.0)
-    lam_total = n * base_rate
-    t = 0.0
-    while True:
-        svc_total = float(mu[q > 0].sum())
-        total = lam_total + svc_total
-        if total <= 0.0:
-            break
-        dt = rng.exponential(1.0 / total)
-        if holding_out is not None:
-            holding_out.append(dt)
-        t += dt
-        if t >= delta_t:
-            break
-        u = rng.random() * total
-        if u < lam_total:
-            i = int(rng.integers(n))
-            if profile.targets is not None:
-                j = int(profile.targets[i])
-            elif off[i] > 0.0 and rng.random() < off[i]:
-                nb = topology.neighbors[i]
-                j = int(nb[int(rng.integers(len(nb)))])
-            else:
-                j = i
-            arrivals[j] += 1
-            if q[j] >= buffer:
-                drops[j] += 1
-            else:
-                q[j] += 1
-        else:
-            busy = np.flatnonzero(q > 0)
-            w = mu[busy]
-            j = int(busy[np.searchsorted(np.cumsum(w), u - lam_total, side="right")])
-            q[j] -= 1
-            services[j] += 1
-    return q, drops, arrivals, services
-
-
 def run_epoch(queues, profile, topology, base_rate: float, service_rates,
-              buffer: int, delta_t: float, rng: np.random.Generator,
-              engine: str = "bank") -> EpochOutcome:
+              buffer: int, delta_t: float, rng: np.random.Generator) -> EpochOutcome:
     """Advance the whole network by one epoch under a frozen profile."""
     if delta_t <= 0.0:
         raise ValueError("delta_t must be positive")
@@ -338,14 +281,8 @@ def run_epoch(queues, profile, topology, base_rate: float, service_rates,
         if t.shape != (n,) or not np.issubdtype(t.dtype, np.integer) \
                 or t.min() < 0 or t.max() >= n:
             raise ValueError(f"targets must be {n} integer queue indices in [0, {n})")
-    if engine not in ("bank", "reference"):
-        raise ValueError(f"unknown engine {engine!r}")
     lam = profile_rates(profile, topology, base_rate)
-    if engine == "bank":
-        counts = simulate_queue_bank(queues, lam, service_rates, buffer, delta_t, rng)
-    else:       # records the same rates, but samples by per-packet routing
-        counts = _gillespie_epoch(queues, profile, topology, base_rate,
-                                  service_rates, buffer, delta_t, rng)
+    counts = simulate_queue_bank(queues, lam, service_rates, buffer, delta_t, rng)
     return EpochOutcome(*counts, lam)
 
 
@@ -371,14 +308,12 @@ class Episode:
     trajectory whichever of them drives it.
     """
 
-    def __init__(self, topology, params: SystemParams, delta_t: float,
-                 engine: str = "bank"):
+    def __init__(self, topology, params: SystemParams, delta_t: float):
         if delta_t <= 0:
             raise ValueError("delta_t must be positive")
         self.topology = topology
         self.params = params
         self.delta_t = float(delta_t)
-        self.engine = engine
         self.service_rates = params.service_rates(topology.n_nodes)
         self.rng = None
         self.queues = None
@@ -402,8 +337,7 @@ class Episode:
         """Run one epoch under ``profile``, then redraw the arrival phase."""
         p = self.params
         out = run_epoch(self.queues, profile, self.topology, self.rate,
-                        self.service_rates, p.buffer, self.delta_t,
-                        self.rng, self.engine)
+                        self.service_rates, p.buffer, self.delta_t, self.rng)
         self.queues = out.next_queues
         self.high = regime_step(self.high, p.p_high_to_low, p.p_low_to_high, self.rng)
         self.epoch += 1
@@ -411,13 +345,13 @@ class Episode:
 
 
 def run_episode(topology, policy, horizon: int, delta_t: float,
-                params: SystemParams, seed, engine: str = "bank") -> EpisodeResult:
+                params: SystemParams, seed) -> EpisodeResult:
     """Run one episode of ``horizon`` epochs under a fixed policy.
 
     ``policy`` supplies a frozen DecisionProfile from the queue snapshot at
     the start of every epoch.
     """
-    ep = Episode(topology, params, delta_t, engine)
+    ep = Episode(topology, params, delta_t)
     ep.reset(seed)
     b = params.buffer
     counts = np.zeros((3, horizon), dtype=np.int64)    # drops, arrivals, services

@@ -59,6 +59,8 @@ class TrainerConfig:
             raise ValueError("minibatch_size must lie in [1, batch_size]")
         if self.sgd_iters < 1:
             raise ValueError("sgd_iters must be >= 1")
+        if self.eval_episodes < 1:
+            raise ValueError("eval_episodes must be >= 1")
 
 
 @dataclass
@@ -79,6 +81,8 @@ class CemConfig:
             raise ValueError("population must be >= 4")
         if not (0.0 < self.elite_frac <= 1.0):
             raise ValueError("elite_frac must lie in (0, 1]")
+        if self.eval_episodes < 1:
+            raise ValueError("eval_episodes must be >= 1")
 
 
 @dataclass

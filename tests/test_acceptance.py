@@ -14,10 +14,12 @@ from sparselb.harness import (ExperimentConfig, build_topology, evaluate,
                               policy_key, sweep, topology_key)
 from sparselb.kernel import effective_rates, epoch_law_table, expected_drops_table
 from sparselb.nn import Mlp, save_policy_parameters
-from sparselb.simulator import DecisionProfile, SystemParams, _gillespie_epoch
+from sparselb.simulator import DecisionProfile, SystemParams
 from sparselb.trainer import (CemConfig, RolloutBatch, TrainerConfig,
                               _gaussian_logp, cem_train,
                               policy_loss_and_grad, train)
+
+from reference_engine import gillespie_epoch
 
 ACCEPT_SEED = 20260822
 EPISODES = 100
@@ -106,8 +108,8 @@ def test_criterion_02_kernel_engine_equivalence(criterion_report):
     states = np.zeros((n_epochs, 3), dtype=np.int64)
     drops = np.zeros(n_epochs)
     for r in range(n_epochs):
-        nq, dr, _, _ = _gillespie_epoch(start, profile, topo, lam, mu, buffer,
-                                        delta_t, rng)
+        nq, dr, _, _ = gillespie_epoch(start, profile, topo, lam, mu, buffer,
+                                       delta_t, rng)
         states[r] = nq
         drops[r] = dr.sum()
 

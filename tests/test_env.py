@@ -5,7 +5,7 @@ import pytest
 
 from sparselb.env import LoadBalanceEnv
 from sparselb.nn import PolicyParameters
-from sparselb.policies import MfrPolicy, StaticZetaPolicy, threshold_zeta
+from sparselb.policies import MfrPolicy, StaticZetaPolicy, observations, threshold_zeta
 from sparselb.simulator import SystemParams, run_episode
 from sparselb.topology import build_cyc1d, from_edges
 
@@ -96,17 +96,17 @@ def test_env_accepts_generator_seed():
 
 
 def test_ownstate_observation_mode():
-    env = make_env(observation_mode="ownstate", designated_agent=2)
+    env = make_env(observation_mode="ownstate")
     obs = env.reset(seed=0)
     assert np.array_equal(obs, np.array([1.0, 0, 0, 0, 0, 0]))
     tr = env.step(np.zeros(6))
-    # one-hot on the designated agent's fill
+    # one-hot on scheduler 0's fill
     assert tr.next_observation.sum() == 1.0
     assert set(np.unique(tr.next_observation)) <= {0.0, 1.0}
 
 
 def test_neighborhood_observation_mode():
-    env = make_env(observation_mode="neighborhood", designated_agent=0)
+    env = make_env(observation_mode="neighborhood")
     obs = env.reset(seed=0)
     assert obs.shape == (6,)
     assert obs.sum() == pytest.approx(1.0)
@@ -125,15 +125,19 @@ def test_observation_matches_deployed_policy(mode):
         pairs = [(i, j) for i in range(n - 2) for j in range(i + 1, n - 2)]
         pick = rng.random(len(pairs)) < 0.4
         # the last two nodes stay isolated
-        topo = from_edges(n, [p for p, keep in zip(pairs, pick) if keep])
+        edges = [p for p, keep in zip(pairs, pick) if keep]
         for agent in range(n):
-            env = LoadBalanceEnv(topo, params, 1.0, 3, observation_mode=mode,
-                                 designated_agent=agent)
+            # relabel so that ``agent`` is scheduler 0, whose row the env reads
+            swap = np.arange(n)
+            swap[[0, agent]] = swap[[agent, 0]]
+            topo = from_edges(n, [(swap[i], swap[j]) for i, j in edges])
+            env = LoadBalanceEnv(topo, params, 1.0, 3, observation_mode=mode)
             env.reset(seed=int(rng.integers(2**31)))
             while True:
-                want = policy.observations(env.queues, topo)
+                want = observations(env.queues, topo, policy.params.buffer,
+                                    policy.params.observation_mode)
                 if mode != "global":
-                    want = want[agent]
+                    want = want[0]
                 assert np.array_equal(env.observation(), want)
                 checked += 1
                 if env.done:

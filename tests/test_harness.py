@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import csv
 import json
+import re
 import time
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +13,8 @@ import pytest
 from sparselb import nn, policies
 from sparselb.harness import (CellResult, ExperimentConfig, bethe_ablation,
                               build_topology, compare_ranking, episode_seed,
-                              evaluate, policy_key, read_results_csv, sweep,
-                              topology_key, write_results, _student_t_ci)
+                              evaluate, policy_key, sweep, topology_key,
+                              write_results, _student_t_ci)
 from sparselb.nn import PolicyParameters, save_policy_parameters
 from sparselb.simulator import SystemParams
 from sparselb.topology import build_cyc1d, save_edge_list
@@ -24,6 +28,11 @@ def small_cfg(**kw):
     for k, v in {**defaults, **kw}.items():
         setattr(cfg, k, v)
     return cfg
+
+
+def read_csv(path) -> list:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def test_episode_seed_stable_and_sensitive():
@@ -45,6 +54,9 @@ def test_keys():
     assert policy_key("jsq") == "jsq"
     assert policy_key({"kind": "static", "zeta": [0, 1], "name": "thr"}) == "thr"
     assert policy_key({"kind": "mfr", "checkpoint": "x.json"}) == "mfr"
+    # a sweep keys every cell (and names its trace) before building its policy
+    with pytest.raises(ValueError, match="no 'kind' key"):
+        policy_key({"zeta": [0, 1]})
 
 
 def test_build_topology_dispatch(tmp_path):
@@ -108,13 +120,14 @@ def test_sweep_counts_and_cells():
 def test_write_read_round_trip(tmp_path):
     cfg = small_cfg(episodes=4)
     cells = sweep(cfg, out_dir=tmp_path)
-    rows = read_results_csv(tmp_path / "results.csv")
+    rows = read_csv(tmp_path / "results.csv")
     assert len(rows) == len(cells)
     for row, cell in zip(rows, cells):
         assert row["topology"] == cell.topology
         assert row["policy"] == cell.policy
-        assert row["mean_drops"] == pytest.approx(cell.mean_drops, rel=1e-11)
-        assert row["seconds"] == 0.0
+        assert float(row["mean_drops"]) == pytest.approx(cell.mean_drops, rel=1e-11)
+        assert int(row["episodes"]) == cell.episodes
+        assert float(row["seconds"]) == 0.0
     doc = json.loads((tmp_path / "results.json").read_text())
     assert doc[0]["per_episode"] == cells[0].per_episode
 
@@ -133,8 +146,8 @@ def test_timing_opt_in(tmp_path):
     cfg = small_cfg(episodes=2)
     cells = sweep(cfg)
     write_results(cells, tmp_path, include_timing=True)
-    rows = read_results_csv(tmp_path / "results.csv")
-    assert any(r["seconds"] > 0.0 for r in rows)
+    rows = read_csv(tmp_path / "results.csv")
+    assert any(float(r["seconds"]) > 0.0 for r in rows)
 
 
 def test_compare_ranking_synthetic():
@@ -216,10 +229,33 @@ def test_config_rejects_unknown_keys():
     cfg = ExperimentConfig.from_dict({
         "topologies": [{"family": "cyc1d", "n": 9}], "policies": ["own"],
         "delta_ts": [1.0], "episodes": 2, "horizon": 3, "seed": 1,
-        "workers": 1, "engine": "bank", "record_trace": False,
+        "workers": 1, "record_trace": False,
         "params": {"buffer": 3}, "trainer": {"epochs": 1}})
     assert cfg.episodes == 2 and cfg.params.buffer == 3
     assert cfg.trainer == {"epochs": 1}
+    # the engine option is gone: an old config fails instead of running
+    with pytest.raises(ValueError, match="'engine'"):
+        ExperimentConfig.from_dict({"engine": "bank"})
+
+
+def test_readme_config_schema_is_the_dataclass():
+    # the documented schema names every field and nothing else, and loads
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"### Config schema\s+```json\n(.*?)```", readme, re.S)
+    doc = json.loads(block.group(1))
+    assert set(doc) == {f.name for f in fields(ExperimentConfig)}
+    cfg = ExperimentConfig.from_dict(doc)
+    assert cfg.params.buffer == doc["params"]["buffer"]
+
+
+@pytest.mark.parametrize("name", ["episodes", "horizon"])
+def test_config_rejects_run_lengths_below_one(name):
+    # episodes=0 used to write a NaN mean_drops, horizon=0 to report 0.0
+    # drops and horizon=-1 to fail inside numpy
+    for count in (0, -1):
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig.from_dict({name: count})
+    assert getattr(ExperimentConfig.from_dict({name: 1}), name) == 1
 
 
 def test_mfr_cell_reads_checkpoint_once(tmp_path, monkeypatch):
@@ -248,6 +284,17 @@ def test_trace_written_when_requested(tmp_path):
     assert len(lines) == 2 * cfg.horizon
     row = json.loads(lines[0])
     assert row["episode"] == 0 and "drops" in row
+
+
+def test_trace_written_for_any_given_path(tmp_path):
+    # a path alone asks for the trace; record_trace only tells sweep to name one
+    cfg = small_cfg(episodes=3, horizon=4)
+    assert not cfg.record_trace
+    trace_path = tmp_path / "trace.jsonl"
+    evaluate(build_cyc1d(9), "rnd", 1.0, cfg, "cyc1d[n=9]", trace_path=trace_path)
+    rows = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    assert [(r["episode"], r["epoch"]) for r in rows] == \
+        [(e, t) for e in range(3) for t in range(4)]
 
 
 

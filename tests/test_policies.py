@@ -171,7 +171,7 @@ def test_mfr_ownstate_observations_are_one_hot():
                                    observation_mode="ownstate", obs_dim=6)
     pol = MfrPolicy(params)
     queues = np.array([0, 5, 2, 2])
-    obs = pol.observations(queues, topo)
+    obs = observations(queues, topo, 5, "ownstate")
     assert obs.shape == (4, 6)
     assert np.array_equal(obs[1], np.eye(6)[5])
     # each agent applies its own row of the network output
@@ -187,10 +187,12 @@ def test_mfr_neighborhood_observations():
                                    observation_mode="neighborhood", obs_dim=6)
     pol = MfrPolicy(params)
     queues = np.array([0, 3, 3, 1, 0])
-    obs = pol.observations(queues, topo)
+    obs = observations(queues, topo, 5, "neighborhood")
     # agent 0 sees neighbors 1 and 4: states 3 and 0, half weight each
     assert np.array_equal(obs[0], np.array([0.5, 0, 0, 0.5, 0, 0]))
     assert np.allclose(obs.sum(axis=1), 1.0)
+    prof = pol.profile(queues, topo, np.ones(5))
+    assert np.array_equal(prof.offload, policy_zeta(params, obs)[np.arange(5), queues])
 
 
 
@@ -217,6 +219,23 @@ def test_make_policy_dispatch():
     assert np.array_equal(pol.zeta, np.array([0.0, 0.5, 1.0]))
     with pytest.raises(ValueError):
         make_policy("nosuch", 5)
+
+
+@pytest.mark.parametrize("zeta", [[0, 1], [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 1.0],
+                                  [[0.0] * 6]])
+def test_make_policy_static_table_must_match_buffer(zeta):
+    # too short used to fail mid-episode blaming the queues; too long ran
+    # silently on its first buffer + 1 entries
+    with pytest.raises(ValueError, match="zeta"):
+        make_policy({"kind": "static", "zeta": zeta}, 5)
+
+
+@pytest.mark.parametrize("spec, key", [({"zeta": [0.0, 1.0]}, "kind"),
+                                       ({"kind": "static"}, "zeta"),
+                                       ({"kind": "mfr"}, "checkpoint")])
+def test_make_policy_names_missing_keys(spec, key):
+    with pytest.raises(ValueError, match=f"no '{key}' key"):
+        make_policy(spec, 1)
 
 
 def test_make_policy_checkpoint_round_trip(tmp_path):

@@ -14,8 +14,10 @@ from sparselb.simulator import (DecisionProfile, EpochOutcome, Episode,
                                 SystemParams, empirical_distribution, init_queues,
                                 profile_rates, run_epoch, run_episode,
                                 simulate_queue_bank)
-from sparselb.simulator import WALK, _fill_class, _gillespie_epoch, _walk_key, _walk_table
+from sparselb.simulator import WALK, _fill_class, _walk_key, _walk_table
 from sparselb.topology import build_cyc1d, from_edges
+
+from reference_engine import gillespie_epoch, reference_epochs
 
 
 def test_empirical_distribution_example():
@@ -42,6 +44,12 @@ def test_empirical_distribution_rejects_fractional_fills():
 def test_system_params_validation():
     with pytest.raises(ValueError):
         SystemParams(buffer=0)
+    # a float buffer (say 5.0 from a JSON config) used to pass here and
+    # fail in the first episode's bincount
+    for bad in (5.0, 2.5, "5"):
+        with pytest.raises(ValueError, match="buffer"):
+            SystemParams(buffer=bad)
+    assert SystemParams(buffer=np.int64(5)).buffer == 5
     with pytest.raises(ValueError):
         SystemParams(start_distribution=(0.5, 0.2))
     p = SystemParams(service_rate=(1.0, 2.0, 1.0))
@@ -72,6 +80,16 @@ def test_profile_rates_offload_matches_kernel():
     assert np.array_equal(got, effective_rates(topo, a, 0.9))
 
 
+def engine_epoch(engine, *args):
+    """(next_queues, drops, arrivals, services) of one ``run_epoch`` or one
+    reference-engine epoch."""
+    if engine == "reference":
+        return gillespie_epoch(*args)
+    out = run_epoch(*args)
+    assert isinstance(out, EpochOutcome)
+    return out.next_queues, out.drops, out.arrivals, out.services
+
+
 @pytest.mark.parametrize("engine", ["bank", "reference"])
 def test_flow_conservation(engine):
     topo = build_cyc1d(9)
@@ -81,17 +99,18 @@ def test_flow_conservation(engine):
     for trial in range(20):
         q0 = rng.integers(0, 6, size=9)
         a = rng.random(9)
-        out = run_epoch(q0, DecisionProfile(offload=a), topo, 0.9, mu, 5, 3.0,
-                        rng, engine)
-        assert isinstance(out, EpochOutcome)
-        balance = q0 + out.arrivals - out.services - out.drops - out.next_queues
+        nq, drops, arrivals, services = engine_epoch(
+            engine, q0, DecisionProfile(offload=a), topo, 0.9, mu, 5, 3.0, rng)
+        balance = q0 + arrivals - services - drops - nq
         assert np.all(balance == 0)
-        assert np.all(out.next_queues >= 0)
-        assert np.all(out.next_queues <= 5)
-        # both engines record the rates the epoch ran at, for either profile kind
+        assert np.all(nq >= 0)
+        assert np.all(nq <= 5)
+        if engine == "reference":
+            continue
+        # run_epoch records the rates the epoch ran at, for either profile kind
         targets = DecisionProfile(targets=rng.integers(0, 9, size=9))
         for profile in (DecisionProfile(offload=a), targets):
-            out = run_epoch(q0, profile, topo, 0.9, mu, 5, 3.0, rng, engine)
+            out = run_epoch(q0, profile, topo, 0.9, mu, 5, 3.0, rng)
             assert np.array_equal(out.arrival_rates, profile_rates(profile, topo, 0.9))
 
 
@@ -100,12 +119,13 @@ def test_zero_traffic_drains(engine):
     topo = build_cyc1d(6)
     mu = np.ones(6)
     q0 = np.array([5, 4, 3, 2, 1, 0])
-    out = run_epoch(q0, DecisionProfile(offload=np.zeros(6)), topo, 0.0, mu,
-                    5, 60.0, np.random.default_rng(4), engine)
-    assert out.arrivals.sum() == 0
-    assert out.drops.sum() == 0
-    assert out.next_queues.sum() == 0
-    assert out.services.sum() == q0.sum()
+    nq, drops, arrivals, services = engine_epoch(
+        engine, q0, DecisionProfile(offload=np.zeros(6)), topo, 0.0, mu, 5, 60.0,
+        np.random.default_rng(4))
+    assert arrivals.sum() == 0
+    assert drops.sum() == 0
+    assert nq.sum() == 0
+    assert services.sum() == q0.sum()
 
 
 def test_drops_attributed_to_receiving_queue():
@@ -125,14 +145,9 @@ def test_run_epoch_rejects_bad_delta_t():
     with pytest.raises(ValueError):
         run_epoch(np.zeros(3, dtype=int), DecisionProfile(offload=np.zeros(3)),
                   topo, 0.9, np.ones(3), 5, 0.0, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        run_epoch(np.zeros(3, dtype=int), DecisionProfile(offload=np.zeros(3)),
-                  topo, 0.9, np.ones(3), 5, 1.0, np.random.default_rng(0),
-                  engine="magic")
 
 
-@pytest.mark.parametrize("engine", ["bank", "reference"])
-def test_run_epoch_rejects_bad_targets(engine):
+def test_run_epoch_rejects_bad_targets():
     topo = build_cyc1d(4)
     good = np.array([1, 0, 3, 3])
     for bad in (np.array([1, 0, 3, -1]), np.array([1, 0, 3, 4]),
@@ -140,40 +155,37 @@ def test_run_epoch_rejects_bad_targets(engine):
                 np.array([[1, 0, 3, 3]])):
         with pytest.raises(ValueError, match="targets"):
             run_epoch(np.zeros(4, dtype=int), DecisionProfile(targets=bad), topo,
-                      0.9, np.ones(4), 5, 1.0, np.random.default_rng(0), engine)
+                      0.9, np.ones(4), 5, 1.0, np.random.default_rng(0))
     out = run_epoch(np.zeros(4, dtype=int), DecisionProfile(targets=good), topo,
-                    0.9, np.ones(4), 5, 1.0, np.random.default_rng(0), engine)
+                    0.9, np.ones(4), 5, 1.0, np.random.default_rng(0))
     assert out.arrivals[2] == 0
 
 
-@pytest.mark.parametrize("engine", ["bank", "reference"])
-def test_run_epoch_rejects_bad_offload(engine):
+def test_run_epoch_rejects_bad_offload():
     topo = build_cyc1d(4)
     for bad in (np.array([0.2, 1.5, 0.0, -0.3]), np.array([0.2, np.nan, 0.0, 0.0]),
                 np.full(3, 0.5), np.full((1, 4), 0.5)):
         with pytest.raises(ValueError, match="offload"):
             run_epoch(np.zeros(4, dtype=int), DecisionProfile(offload=bad), topo,
-                      0.9, np.ones(4), 5, 1.0, np.random.default_rng(0), engine)
+                      0.9, np.ones(4), 5, 1.0, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("engine", ["bank", "reference"])
-def test_run_epoch_rejects_bad_start_queues(engine):
+def test_run_epoch_rejects_bad_start_queues():
     topo = build_cyc1d(3)
     profile = DecisionProfile(offload=np.zeros(3))
     for bad in ([9, -2, 3], [0, 6, 0], [0, -1, 0], np.array([0.0, 1.0, 2.0]),
                 [[0, 1, 2]], [0, 1], np.array([0, 1, 2**64 - 1], dtype=np.uint64)):
         with pytest.raises(ValueError, match="queue"):
             run_epoch(bad, profile, topo, 0.5, np.ones(3), 5, 3.0,
-                      np.random.default_rng(0), engine)
+                      np.random.default_rng(0))
     for mu in (1.0, np.ones(2)):
         with pytest.raises(ValueError, match="rate per queue"):
             run_epoch([0, 1, 2], profile, topo, 0.5, mu, 5, 3.0,
-                      np.random.default_rng(0), engine)
-    if engine == "bank":
-        for lam in (0.5, [0.5] * 2, [[0.5] * 3]):
-            with pytest.raises(ValueError, match="rate per queue"):
-                simulate_queue_bank([0, 1, 2], lam, [1.0] * 3, 5, 3.0,
-                                    np.random.default_rng(0))
+                      np.random.default_rng(0))
+    for lam in (0.5, [0.5] * 2, [[0.5] * 3]):
+        with pytest.raises(ValueError, match="rate per queue"):
+            simulate_queue_bank([0, 1, 2], lam, [1.0] * 3, 5, 3.0,
+                                np.random.default_rng(0))
 
 
 def test_offload_array_accepted_directly():
@@ -243,12 +255,12 @@ def test_engines_agree_in_distribution():
     rng_b = np.random.default_rng(200)
     prof = DecisionProfile(offload=a)
     for r in range(reps):
-        out = run_epoch(q0, prof, topo, lam, mu, b, dt, rng_a, "bank")
+        out = run_epoch(q0, prof, topo, lam, mu, b, dt, rng_a)
         bank_states[r] = out.next_queues
         bank_drops[r] = out.drops.sum()
-        out = run_epoch(q0, prof, topo, lam, mu, b, dt, rng_b, "reference")
-        ref_states[r] = out.next_queues
-        ref_drops[r] = out.drops.sum()
+        nq, drops, _, _ = gillespie_epoch(q0, prof, topo, lam, mu, b, dt, rng_b)
+        ref_states[r] = nq
+        ref_drops[r] = drops.sum()
     for i in range(3):
         pa = np.bincount(bank_states[:, i], minlength=b + 1) / reps
         pb = np.bincount(ref_states[:, i], minlength=b + 1) / reps
@@ -267,8 +279,8 @@ def test_reference_holding_times_exponential():
     q0 = np.zeros(3, dtype=np.int64)
     prof = DecisionProfile(offload=np.zeros(3))
     for _ in range(4000):
-        _gillespie_epoch(q0, prof, topo, lam, np.zeros(3), 50, 1.0, rng,
-                         holding_out=times)
+        gillespie_epoch(q0, prof, topo, lam, np.zeros(3), 50, 1.0, rng,
+                        holding_out=times)
     res = stats.kstest(np.asarray(times), "expon", args=(0.0, 1.0 / (3 * lam)))
     assert res.pvalue > 0.01
 
@@ -285,8 +297,8 @@ def test_reference_thinning_per_queue_poisson():
     prof = DecisionProfile(offload=a)
     q0 = np.zeros(3, dtype=np.int64)
     for r in range(reps):
-        _, _, arrivals, _ = _gillespie_epoch(q0, prof, topo, lam, np.zeros(3),
-                                             50, dt, rng)
+        _, _, arrivals, _ = gillespie_epoch(q0, prof, topo, lam, np.zeros(3),
+                                            50, dt, rng)
         counts[r] = arrivals
     for i in range(3):
         mean = counts[:, i].mean()
@@ -386,18 +398,23 @@ def small_systems(draw):
 def test_episode_conserves_packets_per_queue(system):
     # every arrival at a queue is dropped, stored or served within the epoch
     topo, params, delta_t, profiles, seed = system
-    for engine in ("bank", "reference"):
-        ep = Episode(topo, params, delta_t, engine)
-        ep.reset(seed)
-        for profile in profiles:
-            start = ep.queues.copy()
-            out = ep.advance(profile)
-            assert np.array_equal(out.arrivals,
-                                  out.drops + (out.next_queues - start) + out.services)
-            assert np.all((out.next_queues >= 0) & (out.next_queues <= params.buffer))
-            assert np.all(out.drops <= out.arrivals)
-            assert ep.queues is out.next_queues
-        assert ep.epoch == len(profiles)
+
+    def check(start, nq, drops, arrivals, services):
+        assert np.array_equal(arrivals, drops + (nq - start) + services)
+        assert np.all((nq >= 0) & (nq <= params.buffer))
+        assert np.all(drops <= arrivals)
+
+    ep = Episode(topo, params, delta_t)
+    ep.reset(seed)
+    for profile in profiles:
+        start = ep.queues.copy()
+        out = ep.advance(profile)
+        check(start, out.next_queues, out.drops, out.arrivals, out.services)
+        assert ep.queues is out.next_queues
+    assert ep.epoch == len(profiles)
+    rules = [lambda q, p=p: p for p in profiles]
+    for start, counts in reference_epochs(topo, params, delta_t, seed, rules):
+        check(start, *counts)
 
 
 def bank_oracle(queues, arrival_rates, service_rates, buffer, delta_t, rng):

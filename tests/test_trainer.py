@@ -16,6 +16,8 @@ from sparselb.trainer import (Adam, CemConfig, RolloutBatch, TrainerConfig,
                               init_train_state, policy_loss_and_grad,
                               ppo_update, train)
 
+from reference_engine import reference_epochs
+
 TOPO = build_cyc1d(5)
 PARAMS = SystemParams()
 
@@ -40,6 +42,15 @@ def test_config_validation():
         CemConfig(population=3)
     with pytest.raises(ValueError):
         CemConfig(elite_frac=0.0)
+
+
+@pytest.mark.parametrize("config", [TrainerConfig, CemConfig])
+def test_config_rejects_no_eval_episodes(config):
+    # with none, every eval_return is a NaN mean and CEM keeps its template
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="eval_episodes"):
+            config(eval_episodes=count)
+    assert config(eval_episodes=1).eval_episodes == 1
 
 
 def test_episode_slices():
@@ -353,11 +364,17 @@ def test_isolated_node_ignores_forwarding_rule():
     # learned or not, must reproduce the keep-everything dynamics exactly
     lone = from_edges(1, [])
     learned = MfrPolicy(PolicyParameters.init(5, (8,), np.random.default_rng(3)))
-    for engine in ("bank", "reference"):
-        base = run_episode(lone, OwnPolicy(), 20, 1.0, PARAMS, seed=11,
-                           engine=engine)
-        for rival in (learned, StaticZetaPolicy(np.ones(6))):
-            res = run_episode(lone, rival, 20, 1.0, PARAMS, seed=11,
-                              engine=engine)
-            assert np.array_equal(res.drop_counts, base.drop_counts)
-            assert res.total_drops == base.total_drops
+    rivals = (learned, StaticZetaPolicy(np.ones(6)))
+    base = run_episode(lone, OwnPolicy(), 20, 1.0, PARAMS, seed=11)
+    for rival in rivals:
+        res = run_episode(lone, rival, 20, 1.0, PARAMS, seed=11)
+        assert np.array_equal(res.drop_counts, base.drop_counts)
+        assert res.total_drops == base.total_drops
+
+    def oracle_drops(policy):
+        rules = [lambda q: policy.profile(q, lone, np.ones(1))] * 20
+        return [int(out[1].sum()) for _, out in
+                reference_epochs(lone, PARAMS, 1.0, 11, rules)]
+    base = oracle_drops(OwnPolicy())
+    for rival in rivals:
+        assert oracle_drops(rival) == base
