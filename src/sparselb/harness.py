@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from . import topology as topo_mod
-from .policies import _entry, make_policy
+from .policies import make_policy, policy_key
 from .seeding import derive_seed, parallel_map
 from .simulator import SystemParams, run_episode
 
@@ -54,6 +54,10 @@ class ExperimentConfig:
     trainer: dict = field(default_factory=dict)     # read by the train command
 
     def __post_init__(self) -> None:
+        self.check_run_lengths()
+
+    def check_run_lengths(self) -> None:
+        """Also run by ``evaluate``: fields may be set after construction."""
         for name in ("episodes", "horizon"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -112,15 +116,6 @@ def topology_key(spec: dict) -> str:
     return family + ("[" + ",".join(parts) + "]" if parts else "")
 
 
-def policy_key(spec) -> str:
-    if isinstance(spec, str):
-        return spec
-    kind = _entry(spec, "kind")
-    if kind in ("mfr", "static"):
-        return spec.get("name", kind)
-    return kind
-
-
 def episode_seed(master: int, topo_key: str, pol_key: str, delta_t: float,
                  episode: int) -> int:
     return derive_seed(master, topo_key, pol_key, delta_t, episode)
@@ -148,6 +143,7 @@ def evaluate(topology, policy_spec, delta_t: float, cfg: ExperimentConfig,
     With a ``trace_path``, one JSON row per episode and epoch goes there,
     read from the episode records.
     """
+    cfg.check_run_lengths()
     tkey = topo_key if topo_key is not None else "custom"
     pkey = policy_key(policy_spec)
     t0 = time.perf_counter()
@@ -277,7 +273,8 @@ def bethe_ablation(cfg: ExperimentConfig, out_dir=None,
                    include_timing: bool = False) -> dict:
     """Evaluate the configured policies on a tree topology and report where
     keeping packets locally beats random forwarding, and where a learned
-    policy falls behind the keep-local baseline."""
+    policy falls behind the keep-local baseline: in both, ``own`` is the
+    low side of a separated pair of ``compare_ranking``."""
     for tspec in cfg.topologies:
         if tspec.get("family") != "bethe":
             raise ValueError("bethe_ablation expects bethe topologies only")
@@ -290,18 +287,14 @@ def bethe_ablation(cfg: ExperimentConfig, out_dir=None,
         for dt in cfg.delta_ts:
             group = [c for c in cells if c.topology == tkey and c.delta_t == float(dt)]
             ranking = compare_ranking(group)
-            by_policy = {c.policy: c for c in group}
+            names = set(ranking["means"])
+            ahead = {(p["low"], p["high"]) for p in ranking["pairs"] if p["separated"]}
             entry = {"topology": tkey, "delta_t": float(dt), "ranking": ranking}
-            if "own" in by_policy and "rnd" in by_policy:
-                own, rnd = by_policy["own"], by_policy["rnd"]
-                entry["own_beats_rnd"] = bool(
-                    own.ci_bounds()[1] < rnd.ci_bounds()[0])
-            learned = [c for c in group if c.policy in learned_keys]
-            if learned and "own" in by_policy:
-                own = by_policy["own"]
-                entry["learned_behind_own"] = {
-                    c.policy: bool(own.ci_bounds()[1] < c.ci_bounds()[0])
-                    for c in learned}
+            if {"own", "rnd"} <= names:
+                entry["own_beats_rnd"] = ("own", "rnd") in ahead
+            learned = [c.policy for c in group if c.policy in learned_keys]
+            if learned and "own" in names:
+                entry["learned_behind_own"] = {p: ("own", p) in ahead for p in learned}
             report["groups"].append(entry)
     if out_dir is not None:
         with open(os.path.join(out_dir, "ablation.json"), "w") as fh:

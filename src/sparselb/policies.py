@@ -32,6 +32,7 @@ __all__ = [
     "observations",
     "threshold_zeta",
     "make_policy",
+    "policy_key",
 ]
 
 
@@ -94,9 +95,10 @@ class StaticZetaPolicy:
         self.zeta = np.asarray(zeta, dtype=np.float64)
         if np.any(self.zeta < 0) or np.any(self.zeta > 1):
             raise ValueError("offload probabilities must lie in [0, 1]")
+        self.buffer = self.zeta.size - 1        # one entry per fill level 0..buffer
 
     def profile(self, queues, topology, service_rates) -> DecisionProfile:
-        q, = _node_fills(queues, topology, self.zeta.size - 1)
+        q, = _node_fills(queues, topology, self.buffer)
         return DecisionProfile(offload=self.zeta[q])
 
 
@@ -152,10 +154,11 @@ class MfrPolicy:
                 f"feeds {params.buffer + 1} fill fractions; networks trained with "
                 "observe_rate=True also read the arrival rate and cannot run here")
         self.params = params
+        self.buffer = params.buffer
 
     def profile(self, queues, topology, service_rates) -> DecisionProfile:
-        q, = _node_fills(queues, topology, self.params.buffer)
-        obs = observations(q, topology, self.params.buffer, self.params.observation_mode)
+        q, = _node_fills(queues, topology, self.buffer)
+        obs = observations(q, topology, self.buffer, self.params.observation_mode)
         zeta = policy_zeta(self.params, obs)
         if obs.ndim == 1:
             return DecisionProfile(offload=zeta[q])
@@ -196,3 +199,13 @@ def make_policy(spec, buffer: int):
             raise ValueError("checkpoint buffer size differs from the experiment")
         return MfrPolicy(params)
     raise ValueError(f"unknown policy {spec!r}")
+
+
+def policy_key(spec) -> str:
+    """A spec's result name: the string, an mfr/static ``name``, else ``kind``."""
+    if isinstance(spec, str):
+        return spec
+    kind = _entry(spec, "kind")
+    if kind in ("mfr", "static"):
+        return spec.get("name", kind)
+    return kind

@@ -327,8 +327,7 @@ class Episode:
 
     def reset(self, seed) -> None:
         """Start a new episode from an int seed or a Generator."""
-        self.rng = seed if isinstance(seed, np.random.Generator) \
-            else np.random.default_rng(seed)
+        self.rng = np.random.default_rng(seed)     # a Generator comes back as itself
         self.queues = init_queues(self.params, self.topology.n_nodes, self.rng)
         self.high = regime_init(self.rng)
         self.epoch = 0
@@ -349,8 +348,12 @@ def run_episode(topology, policy, horizon: int, delta_t: float,
     """Run one episode of ``horizon`` epochs under a fixed policy.
 
     ``policy`` supplies a frozen DecisionProfile from the queue snapshot at
-    the start of every epoch.
+    the start of every epoch.  A table policy must match ``params.buffer``.
     """
+    held = getattr(policy, "buffer", params.buffer)
+    if held != params.buffer:
+        raise ValueError(f"policy is built for buffer {held}, the system has "
+                         f"buffer {params.buffer}")
     ep = Episode(topology, params, delta_t)
     ep.reset(seed)
     b = params.buffer

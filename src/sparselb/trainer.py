@@ -87,23 +87,18 @@ class CemConfig:
 
 @dataclass
 class RolloutBatch:
-    obs: np.ndarray            # (M, D)
+    obs: np.ndarray            # (M, D), M = E * T; row e * T + t is step t of episode e
     actions: np.ndarray        # (M, A) raw pre-clamp samples
     mu_old: np.ndarray         # (M, A)
     sigma_old: np.ndarray      # (A,)
     logp_old: np.ndarray       # (M,)
-    rewards: np.ndarray        # (M,)
-    episode_starts: np.ndarray  # (E,) index of the first step of each episode
-    returns: np.ndarray | None = None
-    advantages: np.ndarray | None = None
+    rewards: np.ndarray        # (E, T)
+    returns: np.ndarray | None = None       # (M,)
+    advantages: np.ndarray | None = None    # (M,)
 
     @property
     def size(self) -> int:
         return self.obs.shape[0]
-
-    def episode_slices(self):
-        starts = list(self.episode_starts) + [self.size]
-        return [slice(starts[i], starts[i + 1]) for i in range(len(starts) - 1)]
 
 
 def _make_env(topology, params, delta_t, horizon, cfg) -> LoadBalanceEnv:
@@ -149,15 +144,13 @@ def collect_batch(env: LoadBalanceEnv, cfg: TrainerConfig, policy: PolicyParamet
     rolls = parallel_map(
         partial(_rollout, env, policy, explore=True),
         [derive_seed(seed, "episode", e) for e in range(episodes)], cfg.workers)
-    starts = np.cumsum([0] + [r[0].shape[0] for r in rolls[:-1]])
     obs = np.concatenate([r[0] for r in rolls])
     actions = np.concatenate([r[1] for r in rolls])
     mu_old = np.concatenate([r[2] for r in rolls])
-    rewards = np.concatenate([r[3] for r in rolls])
+    rewards = np.stack([r[3] for r in rolls])       # (E, T); fails on unequal lengths
     sigma = policy.std
     logp_old = _gaussian_logp(actions, mu_old, sigma)
-    return RolloutBatch(obs, actions, mu_old, sigma.copy(), logp_old, rewards,
-                        np.asarray(starts))
+    return RolloutBatch(obs, actions, mu_old, sigma.copy(), logp_old, rewards)
 
 
 # ---- advantage estimation ----
@@ -169,26 +162,24 @@ def compute_advantages(batch: RolloutBatch, critic: Mlp, gamma: float,
 
     Returns-to-go are plain discounted sums; advantages follow the
     lambda-weighted temporal-difference recursion with terminal value 0 at
-    the episode boundary.  With lambda = 1 the advantage reduces to
-    return-to-go minus the value baseline.
+    the end of each episode.  With lambda = 1 the advantage reduces to
+    return-to-go minus the value baseline.  One backward pass over the
+    horizon updates every episode of the batch at once.
     """
-    values = critic.forward(batch.obs)[0][:, 0]
-    returns = np.empty(batch.size)
-    adv = np.empty(batch.size)
-    for sl in batch.episode_slices():
-        r = batch.rewards[sl]
-        v = values[sl]
-        g = 0.0
-        a = 0.0
-        for t in range(r.size - 1, -1, -1):
-            g = r[t] + gamma * g
-            v_next = v[t + 1] if t + 1 < r.size else 0.0
-            delta = r[t] + gamma * v_next - v[t]
-            a = delta + gamma * gae_lambda * a
-            returns[sl.start + t] = g
-            adv[sl.start + t] = a
-    batch.returns = returns
-    batch.advantages = adv
+    r = batch.rewards
+    n_ep, horizon = r.shape
+    v = np.zeros((n_ep, horizon + 1))           # column T is the terminal value
+    v[:, :horizon] = critic.forward(batch.obs)[0][:, 0].reshape(n_ep, horizon)
+    returns, adv = np.empty(r.shape), np.empty(r.shape)
+    g = a = np.zeros(n_ep)
+    for t in range(horizon - 1, -1, -1):
+        g = r[:, t] + gamma * g
+        delta = r[:, t] + gamma * v[:, t + 1] - v[:, t]
+        a = delta + gamma * gae_lambda * a
+        returns[:, t] = g
+        adv[:, t] = a
+    batch.returns = returns.ravel()
+    batch.advantages = adv.ravel()
 
 
 # ---- gaussian helpers ----
@@ -214,7 +205,7 @@ def policy_loss_and_grad(policy_sizes, flat, log_std, batch: RolloutBatch,
                          idx: np.ndarray, clip: float, kl_coeff: float):
     """Clipped surrogate plus KL penalty on one minibatch.
 
-    Returns (loss, grad_flat, grad_log_std, stats).
+    Returns (loss, grad_flat, grad_log_std).
     """
     obs = batch.obs[idx]
     act = batch.actions[idx]
@@ -250,12 +241,7 @@ def policy_loss_and_grad(policy_sizes, flat, log_std, batch: RolloutBatch,
     grad_log_std = dsigma * (sigma - STD_FLOOR)               # d sigma / d log_std
     dout = dmu * mu * (1.0 - mu)                              # logistic squash
     grad_flat = net.backward(acts, dout)
-    stats = {
-        "kl": float(kl.mean()),
-        "clip_fraction": float(np.mean((ratio > 1.0 + clip) | (ratio < 1.0 - clip))),
-        "loss": float(loss),
-    }
-    return float(loss), grad_flat, grad_log_std, stats
+    return float(loss), grad_flat, grad_log_std
 
 
 def critic_loss_and_grad(critic_sizes, flat, batch: RolloutBatch, idx: np.ndarray):
@@ -318,7 +304,7 @@ def ppo_update(state: TrainState, batch: RolloutBatch, cfg: TrainerConfig,
         perm = rng.permutation(batch.size)
         for lo in range(0, batch.size, cfg.minibatch_size):
             idx = perm[lo:lo + cfg.minibatch_size]
-            loss, g_flat, g_ls, stats = policy_loss_and_grad(
+            loss, g_flat, g_ls = policy_loss_and_grad(
                 policy.layer_sizes, policy.weights, policy.log_std,
                 batch, idx, cfg.clip, state.kl_coeff)
             vloss, g_critic = critic_loss_and_grad(
@@ -406,8 +392,7 @@ def train(topology, params: SystemParams, delta_t: float, horizon: int,
         batch = collect_batch(env, cfg, state.policy, derive_seed(seed, "batch", it))
         compute_advantages(batch, Mlp(state.critic_sizes, state.critic_flat),
                            cfg.gamma, cfg.gae_lambda)
-        mean_return = float(np.mean([batch.rewards[sl].sum()
-                                     for sl in batch.episode_slices()]))
+        mean_return = float(batch.rewards.sum(axis=1).mean())
         diag = ppo_update(state, batch, cfg, update_rng)
         score = evaluate_params(env, state.policy, eval_seeds)
         if score > best_score:

@@ -260,17 +260,17 @@ def test_criterion_10_gradient_check(criterion_report):
         batch = RolloutBatch(
             obs, actions, mu_old, sigma_old,
             _gaussian_logp(actions, mu_old, sigma_old),
-            np.zeros(m), np.array([0]),
+            np.zeros((1, m)),
             returns=rng.normal(size=m), advantages=rng.normal(size=m))
         flat = Mlp.init(sizes, rng).flat
         log_std = np.log(rng.uniform(0.1, 0.3, size=a))
         idx = np.arange(m)
-        _, g_flat, g_ls, _ = policy_loss_and_grad(sizes, flat, log_std, batch,
-                                                  idx, 0.3, 0.2)
+        _, g_flat, g_ls = policy_loss_and_grad(sizes, flat, log_std, batch,
+                                               idx, 0.3, 0.2)
 
         def f(fl, ls):
-            loss, _, _, _ = policy_loss_and_grad(sizes, fl, ls, batch, idx,
-                                                 0.3, 0.2)
+            loss, _, _ = policy_loss_and_grad(sizes, fl, ls, batch, idx,
+                                              0.3, 0.2)
             return loss
 
         eps = 1e-5

@@ -258,6 +258,14 @@ def test_config_rejects_run_lengths_below_one(name):
     assert getattr(ExperimentConfig.from_dict({name: 1}), name) == 1
 
 
+def test_evaluate_rejects_run_lengths_set_after_construction():
+    # assignment skips __post_init__; this used to give a NaN mean_drops
+    cfg = ExperimentConfig()
+    cfg.episodes = 0
+    with pytest.raises(ValueError, match="episodes"):
+        evaluate(build_cyc1d(9), "own", 1.0, cfg)
+
+
 def test_mfr_cell_reads_checkpoint_once(tmp_path, monkeypatch):
     # a cell builds its policy once, not once per episode
     path = tmp_path / "ckpt.json"

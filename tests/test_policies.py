@@ -230,6 +230,22 @@ def test_make_policy_static_table_must_match_buffer(zeta):
         make_policy({"kind": "static", "zeta": zeta}, 5)
 
 
+def test_run_episode_rejects_static_table_for_another_buffer():
+    # an 8-entry table at buffer 5 used to run on its first six entries
+    with pytest.raises(ValueError, match="buffer 7"):
+        run_episode(build_cyc1d(9), StaticZetaPolicy(np.linspace(0, 1, 8)), 5, 1.0,
+                    SystemParams(), 1)
+
+
+def test_run_episode_rejects_network_for_another_buffer():
+    # a buffer-7 network at buffer 5 used to run to the end, its fill
+    # levels 6 and 7 always empty
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="buffer 7"):
+        run_episode(build_cyc1d(9), MfrPolicy(PolicyParameters.init(7, (4,), rng)), 5,
+                    1.0, SystemParams(), 1)
+
+
 @pytest.mark.parametrize("spec, key", [({"zeta": [0.0, 1.0]}, "kind"),
                                        ({"kind": "static"}, "zeta"),
                                        ({"kind": "mfr"}, "checkpoint")])

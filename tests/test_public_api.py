@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import subprocess
@@ -31,3 +32,21 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "[]"
+
+
+def test_no_private_names_imported_across_modules():
+    # an underscore name is a module's own business; another module that
+    # needs it should get a public name instead
+    pkg = os.path.dirname(os.path.abspath(sparselb.__file__))
+    offenders = []
+    for fname in sorted(os.listdir(pkg)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, fname)) as fh:
+            tree = ast.parse(fh.read(), filename=fname)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "sparselb"):
+                offenders += [f"{fname}: {node.module}.{a.name}" for a in node.names
+                              if a.name.startswith("_")]
+    assert not offenders, f"private names imported across modules: {offenders}"

@@ -53,25 +53,55 @@ def test_config_rejects_no_eval_episodes(config):
     assert config(eval_episodes=1).eval_episodes == 1
 
 
-def test_episode_slices():
-    batch = RolloutBatch(np.zeros((5, 2)), np.zeros((5, 1)), np.zeros((5, 1)),
-                         np.ones(1), np.zeros(5), np.zeros(5),
-                         np.array([0, 3]))
-    assert batch.episode_slices() == [slice(0, 3), slice(3, 5)]
-    assert batch.size == 5
-
-
-def _manual_batch(obs, rewards, starts):
+def _manual_batch(obs, rewards):
     m = obs.shape[0]
     return RolloutBatch(obs, np.zeros((m, 1)), np.zeros((m, 1)), np.ones(1),
-                        np.zeros(m), rewards, np.asarray(starts))
+                        np.zeros(m), rewards)
+
+
+def _per_episode_gae(rewards, values, starts, gamma, gae_lambda):
+    """Frozen oracle: the scalar recursion run episode by episode over a
+    flat batch, each episode ending in terminal value 0."""
+    returns = np.empty(rewards.size)
+    adv = np.empty(rewards.size)
+    bounds = list(starts) + [rewards.size]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        r = rewards[lo:hi]
+        v = values[lo:hi]
+        g = 0.0
+        a = 0.0
+        for t in range(r.size - 1, -1, -1):
+            g = r[t] + gamma * g
+            v_next = v[t + 1] if t + 1 < r.size else 0.0
+            delta = r[t] + gamma * v_next - v[t]
+            a = delta + gamma * gae_lambda * a
+            returns[lo + t] = g
+            adv[lo + t] = a
+    return returns, adv
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.99])
+@pytest.mark.parametrize("gae_lambda", [0.0, 0.9, 1.0])
+def test_advantages_match_per_episode_recursion(gamma, gae_lambda):
+    rng = np.random.default_rng(31)
+    critic = Mlp.init((3, 5, 1), rng)
+    for n_ep, horizon in ((1, 1), (1, 7), (6, 1), (9, 13)):
+        obs = rng.normal(size=(n_ep * horizon, 3))
+        batch = _manual_batch(obs, rng.normal(size=(n_ep, horizon)))
+        compute_advantages(batch, critic, gamma, gae_lambda)
+        values = critic.forward(obs)[0][:, 0]
+        want_ret, want_adv = _per_episode_gae(batch.rewards.ravel(), values,
+                                              range(0, n_ep * horizon, horizon),
+                                              gamma, gae_lambda)
+        assert np.array_equal(batch.returns, want_ret)
+        assert np.array_equal(batch.advantages, want_adv)
 
 
 def test_returns_to_go_frozen_values():
     # single episode, gamma 0.5, rewards (1, 2, 3):
     # G2 = 3, G1 = 2 + 1.5 = 3.5, G0 = 1 + 1.75 = 2.75
     obs = np.zeros((3, 2))
-    batch = _manual_batch(obs, np.array([1.0, 2.0, 3.0]), [0])
+    batch = _manual_batch(obs, np.array([[1.0, 2.0, 3.0]]))
     critic = Mlp((2, 1), np.zeros(n_params((2, 1))))
     compute_advantages(batch, critic, gamma=0.5, gae_lambda=1.0)
     assert np.array_equal(batch.returns, np.array([2.75, 3.5, 3.0]))
@@ -83,7 +113,7 @@ def test_gae_lambda_zero_is_td_residual():
     # critic reads out the first observation coordinate, V = (1, 2, 3)
     obs = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
     critic = Mlp((2, 1), np.array([1.0, 0.0, 0.0]))
-    batch = _manual_batch(obs, np.array([1.0, 1.0, 1.0]), [0])
+    batch = _manual_batch(obs, np.array([[1.0, 1.0, 1.0]]))
     compute_advantages(batch, critic, gamma=0.5, gae_lambda=0.0)
     # delta_t = r + gamma V(next) - V(cur), terminal value 0
     assert np.allclose(batch.advantages, np.array([1.0, 0.5, -2.0]))
@@ -91,8 +121,9 @@ def test_gae_lambda_zero_is_td_residual():
 
 
 def test_advantages_respect_episode_boundaries():
+    # two episodes, one per row: nothing flows from the second into the first
     obs = np.zeros((4, 2))
-    batch = _manual_batch(obs, np.array([1.0, 1.0, 5.0, 7.0]), [0, 2])
+    batch = _manual_batch(obs, np.array([[1.0, 1.0], [5.0, 7.0]]))
     critic = Mlp((2, 1), np.zeros(3))
     compute_advantages(batch, critic, gamma=1.0, gae_lambda=1.0)
     assert np.array_equal(batch.returns, np.array([2.0, 1.0, 12.0, 7.0]))
@@ -127,6 +158,16 @@ def test_collect_batch_deterministic():
     assert not np.array_equal(a.actions, c.actions)
 
 
+def test_collect_batch_is_episodes_by_horizon():
+    # 22 transitions at horizon 5 take ceil(22 / 5) = 5 whole episodes
+    cfg = tiny_cfg(batch_size=22)
+    policy = PolicyParameters.init(5, cfg.hidden, np.random.default_rng(9))
+    batch = collect_batch(tiny_env(), cfg, policy, seed=2)
+    assert batch.rewards.shape == (5, 5)
+    assert batch.size == 25
+    assert batch.obs.shape[0] == batch.actions.shape[0] == batch.logp_old.size == 25
+
+
 def test_collect_batch_worker_invariance():
     rng = np.random.default_rng(1)
     policy = PolicyParameters.init(5, (8,), rng)
@@ -147,7 +188,7 @@ def test_collect_batch_ignores_env_left_mid_episode():
     used.step(np.full(6, 0.2))
     a = collect_batch(used, cfg, policy, seed=4)
     b = collect_batch(tiny_env(), cfg, policy, seed=4)
-    for field in ("obs", "actions", "mu_old", "logp_old", "rewards", "episode_starts"):
+    for field in ("obs", "actions", "mu_old", "logp_old", "rewards"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
@@ -169,12 +210,12 @@ def test_policy_gradient_matches_finite_difference():
     critic = Mlp.init((6, 4, 1), rng)
     compute_advantages(batch, critic, 0.99, 1.0)
     idx = np.arange(batch.size)
-    loss, g_flat, g_ls, _ = policy_loss_and_grad(
+    loss, g_flat, g_ls = policy_loss_and_grad(
         policy.layer_sizes, policy.weights, policy.log_std, batch, idx,
         clip=0.3, kl_coeff=0.2)
 
     def f(flat, log_std):
-        l, _, _, _ = policy_loss_and_grad(policy.layer_sizes, flat, log_std,
+        l, _, _ = policy_loss_and_grad(policy.layer_sizes, flat, log_std,
                                           batch, idx, 0.3, 0.2)
         return l
 
@@ -231,15 +272,14 @@ def test_clipped_out_sample_has_zero_gradient():
         sigma_old=np.array([0.2]),
         logp_old=_gaussian_logp(np.array([[0.6]]), np.array([[0.9]]),
                                 np.array([0.2])),
-        rewards=np.array([0.0]),
-        episode_starts=np.array([0]),
+        rewards=np.array([[0.0]]),
         returns=np.array([0.0]),
         advantages=np.array([1.0]),
     )
     idx = np.array([0])
-    loss, g_flat, g_ls, stats = policy_loss_and_grad(sizes, flat, log_std,
-                                                     batch, idx, 0.3, 0.0)
-    assert stats["clip_fraction"] == 1.0
+    loss, g_flat, g_ls = policy_loss_and_grad(sizes, flat, log_std,
+                                              batch, idx, 0.3, 0.0)
+    # the loss is the clipped branch, -(1 + clip) * advantage
     assert loss == pytest.approx(-1.3)
     assert np.array_equal(g_flat, np.zeros(2))
     assert np.array_equal(g_ls, np.zeros(1))
