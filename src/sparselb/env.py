@@ -53,13 +53,15 @@ class LoadBalanceEnv(Episode):
 
     def observation(self) -> np.ndarray:
         """The deployed policy's observation; scheduler 0's row outside
-        global mode, then the normalized rate if observed."""
+        global mode, then the normalized rate if observed.  A bank of
+        episodes gives one row per episode."""
         obs = observations(self.queues, self.topology, self.params.buffer,
                            self.observation_mode)
         if self.observation_mode != "global":
-            obs = obs[0]
+            obs = obs[..., 0, :]
         if self.observe_rate:
-            obs = np.append(obs, self.rate / self.params.rate_high)
+            rate = np.asarray(self.rate / self.params.rate_high)
+            obs = np.concatenate([obs, rate[..., None]], axis=-1)
         return obs
 
     @property
@@ -73,8 +75,10 @@ class LoadBalanceEnv(Episode):
         return self.observation()
 
     def step(self, zeta) -> McTransition:
-        if self.queues is None:
-            raise RuntimeError("call reset before step")
+        """One epoch of one episode under the offload table ``zeta``; a bank
+        advances through ``advance`` and ``reward`` instead."""
+        if self.queues is None or self.bank:
+            raise RuntimeError("call reset with one seed before step")
         if self.done:
             raise RuntimeError("episode finished; call reset")
         zeta = np.asarray(zeta, dtype=np.float64)
@@ -85,11 +89,20 @@ class LoadBalanceEnv(Episode):
             zeta = np.clip(zeta, 0.0, 1.0)
         start = self.queues
         out = self.advance(DecisionProfile(offload=zeta[start]))
-        if self.reward_mode == "expected":
-            drops = self._expected_epoch_drops(out.arrival_rates, start)
+        return McTransition(self.reward(start, out), self.observation())
+
+    def reward(self, start: np.ndarray, out) -> float | np.ndarray:
+        """Minus the drops per scheduler of the epoch ``out`` run from the
+        fills ``start``: realized, or their conditional expectation; a bank
+        gets one per row."""
+        if self.reward_mode == "realized":
+            drops = out.drops.sum(axis=-1)
+        elif self.bank:
+            drops = np.array([self._expected_epoch_drops(r, q)
+                              for r, q in zip(out.arrival_rates, start)])
         else:
-            drops = float(out.drops.sum())
-        return McTransition(-drops / self.topology.n_nodes, self.observation())
+            drops = self._expected_epoch_drops(out.arrival_rates, start)
+        return -drops / self.topology.n_nodes
 
     def _expected_epoch_drops(self, rates: np.ndarray, start: np.ndarray) -> float:
         # variance-reduced reward: conditional expectation given the

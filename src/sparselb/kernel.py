@@ -32,16 +32,17 @@ __all__ = [
 
 
 def checked_offload(offload, n_nodes: int) -> np.ndarray:
-    """``offload`` as floats, one probability in [0, 1] per node (NaN fails)."""
+    """``offload`` as floats, one probability in [0, 1] per node (NaN fails);
+    an (E, n) bank holds one such row per episode."""
     a = np.asarray(offload, dtype=np.float64)
-    if a.shape != (n_nodes,):
+    if a.ndim not in (1, 2) or a.shape[-1] != n_nodes:
         raise ValueError("offload must have one entry per node")
     if not np.all((a >= 0.0) & (a <= 1.0)):
         raise ValueError("offload probabilities must lie in [0, 1]")
     return a
 
 
-def effective_rates(topology, offload, base_rate: float) -> np.ndarray:
+def effective_rates(topology, offload, base_rate) -> np.ndarray:
     """Per-queue arrival rates induced by offload probabilities.
 
     Scheduler i keeps a packet with probability 1 - offload[i] and otherwise
@@ -53,24 +54,32 @@ def effective_rates(topology, offload, base_rate: float) -> np.ndarray:
     zero.  The neighbor inflow is accumulated with a balanced pairwise
     reduction over the padded neighbor matrix, which keeps the total exactly
     base_rate on regular graphs whenever every share is a dyadic multiple
-    of the offload value (degrees 2, 3 and 4 in particular).
+    of the offload value (degrees 2, 3 and 4 in particular).  An (E, n)
+    bank of offloads takes one base rate per row and gives (E, n) rates,
+    each row equal to its one-row call.
     """
     a = checked_offload(offload, topology.n_nodes)
+    if a.ndim == 2:
+        base_rate = np.asarray(base_rate, dtype=np.float64)
+        if base_rate.shape != a.shape[:1]:
+            raise ValueError(f"an offload bank of {a.shape[0]} rows needs one base rate "
+                             "per row")
+        base_rate = base_rate[:, None]
     deg = topology.degrees
     a = np.where(deg > 0, a, 0.0)
     share = np.divide(a, deg, out=np.zeros_like(a), where=deg > 0)
 
     pad = topology.padded_neighbors
     if pad.shape[1] == 0:
-        inflow = np.zeros(topology.n_nodes)
+        inflow = np.zeros_like(a)
     else:
-        # padded cells read share[-1] and are zeroed by the mask
-        cols = np.where(topology.padded_mask, share[pad], 0.0)
-        while cols.shape[1] > 1:
-            if cols.shape[1] % 2:
-                cols = np.concatenate([cols, np.zeros((cols.shape[0], 1))], axis=1)
-            cols = cols[:, 0::2] + cols[:, 1::2]
-        inflow = cols[:, 0]
+        # padded cells read the last share and are zeroed by the mask
+        cols = np.where(topology.padded_mask, share.take(pad, axis=-1), 0.0)
+        while cols.shape[-1] > 1:
+            if cols.shape[-1] % 2:
+                cols = np.concatenate([cols, np.zeros(cols.shape[:-1] + (1,))], axis=-1)
+            cols = cols[..., 0::2] + cols[..., 1::2]
+        inflow = cols[..., 0]
     return base_rate * ((1.0 - a) + inflow)
 
 

@@ -39,7 +39,7 @@ __all__ = [
 def _node_fills(queues, topology, buffer: int | None, *rates) -> tuple:
     """``checked_queues`` with one fill per node of ``topology``."""
     q, *rates = checked_queues(queues, buffer, *rates)
-    if q.size != topology.n_nodes:
+    if q.shape != (topology.n_nodes,):
         raise ValueError(f"need one fill per node ({topology.n_nodes})")
     return (q, *rates)
 
@@ -114,26 +114,31 @@ def observations(queues, topology, buffer: int, mode: str) -> np.ndarray:
 
     ``global`` is the systemwide fill distribution, shape (buffer+1,);
     ``neighborhood`` (each scheduler's neighbor fill distribution) and
-    ``ownstate`` (one-hot own fill) have one row per scheduler.
+    ``ownstate`` (one-hot own fill) have one row per scheduler.  An (E, n)
+    bank of episodes adds a leading axis of E.
     """
-    if mode == "global":
+    if mode == "global" and np.ndim(queues) == 1:
         return empirical_distribution(queues, buffer)
     q, = checked_queues(queues, buffer)
-    n, m = topology.n_nodes, buffer + 1
-    if mode == "ownstate":
-        obs = np.zeros((n, m))
-        obs[np.arange(n), q] = 1.0
-        return obs
+    if q.shape[-1] != topology.n_nodes:
+        raise ValueError(f"need one fill per node ({topology.n_nodes})")
+    fills = np.arange(buffer + 1)
+    if mode in ("global", "ownstate"):
+        own = (q[..., None] == fills).astype(np.float64)      # one-hot own fill
+        return own if mode == "ownstate" else own.mean(axis=-2)
     if mode == "neighborhood":
         # count (scheduler, neighbor fill) pairs; padding slots weigh 0
-        cells = (np.arange(n) * m)[:, None] + q[topology.padded_neighbors]
-        counts = np.bincount(cells.ravel(), weights=topology.padded_mask.ravel(),
-                             minlength=n * m).reshape(n, m)
+        m = fills.size
+        cells = (np.arange(q.size) * m).reshape(q.shape)[..., None] \
+            + q[..., topology.padded_neighbors]
+        weights = np.broadcast_to(topology.padded_mask, cells.shape)
+        counts = np.bincount(cells.ravel(), weights=weights.ravel(),
+                             minlength=q.size * m).reshape(*q.shape, m)
         deg = topology.degrees
         obs = counts / np.maximum(deg, 1)[:, None]
         # an isolated scheduler falls back to its own fill level
         lone = np.flatnonzero(deg == 0)
-        obs[lone, q[lone]] = 1.0
+        obs[..., lone, :] = q[..., lone, None] == fills
         return obs
     raise ValueError(f"unknown observation_mode {mode!r}")
 
@@ -202,10 +207,11 @@ def make_policy(spec, buffer: int):
 
 
 def policy_key(spec) -> str:
-    """A spec's result name: the string, an mfr/static ``name``, else ``kind``."""
+    """A spec's result name: the string, an mfr/static ``name`` (``kind`` in
+    any case, as ``make_policy`` reads it), else ``kind`` as given."""
     if isinstance(spec, str):
         return spec
     kind = _entry(spec, "kind")
-    if kind in ("mfr", "static"):
+    if kind.lower() in ("mfr", "static"):
         return spec.get("name", kind)
     return kind

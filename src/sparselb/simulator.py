@@ -116,8 +116,8 @@ class EpisodeResult:
 def empirical_distribution(queues, buffer: int) -> np.ndarray:
     """Fraction of queues at each fill level 0..buffer."""
     q, = checked_queues(queues, buffer)
-    if q.size == 0:
-        raise ValueError("need at least one queue")
+    if q.ndim != 1 or q.size == 0:
+        raise ValueError("need a vector of at least one queue")
     return np.bincount(q, minlength=buffer + 1) / q.size
 
 
@@ -132,10 +132,11 @@ def profile_rates(profile: DecisionProfile, topology, base_rate: float) -> np.nd
 
 def checked_queues(queues, buffer: int | None, *rates) -> tuple:
     """Start fills as a fresh int64 vector in {0..buffer} (any nonnegative
-    fill when ``buffer`` is None), then ``rates`` as float vectors of the
-    same length; anything else raises ValueError."""
+    fill when ``buffer`` is None), or an (E, n) bank of such rows, then
+    ``rates`` as float arrays of the same shape; anything else raises
+    ValueError."""
     q = np.asarray(queues)
-    ok = q.ndim == 1 and q.dtype.kind in "iu"
+    ok = q.ndim in (1, 2) and q.dtype.kind in "iu"
     if ok:
         q = q.astype(np.int64)
         # read as unsigned, a negative fill lies above any buffer, so one
@@ -144,10 +145,11 @@ def checked_queues(queues, buffer: int | None, *rates) -> tuple:
         ok = q.size == 0 or q.view(np.uint64).max() <= top
     if not ok:
         bound = "" if buffer is None else f" in {{0..{buffer}}}"
-        raise ValueError(f"queues must be a vector of nonnegative integer fills{bound}")
+        raise ValueError(f"queues must be a vector or an (E, n) bank of nonnegative "
+                         f"integer fills{bound}")
     rates = tuple(np.asarray(r, dtype=np.float64) for r in rates)
     if any(r.shape != q.shape for r in rates):
-        raise ValueError(f"need one rate per queue ({q.size})")
+        raise ValueError(f"need one rate per queue {q.shape}")
     return (q, *rates)
 
 
@@ -208,8 +210,28 @@ def _walk_table(buffer: int):
     return dfill, tally, base
 
 
+def _bank_arrivals(bits, u, p_arrive, row, rank, gens) -> None:
+    """Arrival flags of one walk step of a bank, written into ``bits``.
+
+    ``row`` and ``rank`` give each of the m live queues its row and its
+    place in that row's own walk order.  Row e draws one (WALK, m_e) block
+    from gens[e] into ``u``, exactly as a one-row call would, and tick r
+    of every queue is read from its row's block.
+    """
+    k = np.bincount(row, minlength=len(gens))               # live queues per row
+    off = WALK * (np.cumsum(k) - k)
+    for g, o, m in zip(gens, off.tolist(), k.tolist()):
+        if m:
+            g.random(out=u[o:o + WALK * m].reshape(WALK, m))
+    at = off[row] + rank                                    # each queue's tick 0
+    stride = k[row]
+    for r in range(WALK):
+        np.less(u.take(at), p_arrive, out=bits[r].view(bool))
+        at += stride
+
+
 def simulate_queue_bank(queues, arrival_rates, service_rates, buffer: int,
-                        delta_t: float, rng: np.random.Generator):
+                        delta_t: float, rng):
     """Advance independent bounded queues over one epoch; exact sampling.
 
     Uses one uniformized clock per queue at rate arrival + service: each
@@ -228,15 +250,32 @@ def simulate_queue_bank(queues, arrival_rates, service_rates, buffer: int,
     arrival bits).  Arrivals and services follow from arrivals + services
     + idle = ticks and arrivals - drops - services = change of fill.
 
+    A bank of E episodes passes (E, n) fills and rates and a sequence of
+    E generators, and gets (E, n) results: row e draws from rng[e]
+    exactly what a one-row call with rng[e] draws, its tick counts and
+    then its own (WALK, m_e) blocks.  All E * n queues share one walk in
+    the order of descending tick count (ties in row-major order), so each
+    row's walk order is a subsequence of it and the live queues are
+    still a prefix.
+
     Returns (next_queues, drops, arrivals, services).
     """
     q, lam, mu = checked_queues(queues, buffer, arrival_rates, service_rates)
-    n = q.size
+    shape = q.shape
+    bank = q.ndim == 2
     total = lam + mu
-    counts = rng.poisson(total * delta_t)
+    if bank:
+        gens = list(rng)
+        if len(gens) != shape[0]:
+            raise ValueError(f"need one generator per row ({shape[0]}), not {len(gens)}")
+        counts = np.concatenate([g.poisson(x) for g, x in zip(gens, total * delta_t)])
+        q, lam, total = q.ravel(), lam.ravel(), total.ravel()
+    else:
+        counts = rng.poisson(total * delta_t)
+    n = q.size
     kmax = int(counts.max()) if n else 0
     if kmax == 0:
-        return q, *np.zeros((3, n), dtype=np.int64)
+        return tuple(x.reshape(shape) for x in (q, *np.zeros((3, n), dtype=np.int64)))
     # descending tick counts; a stable sort of small unsigned keys is a radix sort
     order = np.argsort((kmax - counts).astype(np.min_scalar_type(kmax)), kind="stable")
     ticks = counts[order]
@@ -250,12 +289,19 @@ def simulate_queue_bank(queues, arrival_rates, service_rates, buffer: int,
     acc = np.zeros(n, dtype=np.int64)                      # drops + (idle << 32)
     u = np.empty(WALK * n)
     arrive = np.empty(WALK * n, dtype=np.uint8)
+    if bank:
+        row = order // shape[1]                            # row of each walk place
+        rank = np.empty_like(row)                          # place in its row's walk
+        rank[np.argsort(row, kind="stable")] = np.arange(n) % shape[1]
     for s in range(0, kmax, WALK):
         m, m_full = live_n[s], live_n[s + WALK - 1]        # queues with 1+ / WALK ticks left
-        block = u[:WALK * m].reshape(WALK, m)
-        rng.random(out=block)
         bits = arrive[:WALK * m].reshape(WALK, m)
-        np.less(block, p_arrive[:m], out=bits.view(bool))
+        if bank:
+            _bank_arrivals(bits, u, p_arrive[:m], row[:m], rank[:m], gens)
+        else:
+            block = u[:WALK * m].reshape(WALK, m)
+            rng.random(out=block)
+            np.less(block, p_arrive[:m], out=bits.view(bool))
         bits *= _BIT                                       # row r is bit r
         key = base.take(z[:m])
         key += bits.sum(axis=0, dtype=np.uint8)
@@ -268,12 +314,15 @@ def simulate_queue_bank(queues, arrival_rates, service_rates, buffer: int,
     out[2, order] = acc >> 32
     nq, drops, idle = out
     arrivals = (counts - idle + nq - q + drops) >> 1
-    return nq, drops, arrivals, counts - arrivals - idle
+    result = nq, drops, arrivals, counts - arrivals - idle
+    return tuple(x.reshape(shape) for x in result) if bank else result
 
 
 def run_epoch(queues, profile, topology, base_rate: float, service_rates,
               buffer: int, delta_t: float, rng: np.random.Generator) -> EpochOutcome:
-    """Advance the whole network by one epoch under a frozen profile."""
+    """Advance the whole network by one epoch under a frozen profile; a bank
+    of E networks takes (E, n) queues and offloads, E base rates and E
+    generators, as ``simulate_queue_bank`` does."""
     if delta_t <= 0.0:
         raise ValueError("delta_t must be positive")
     if profile.targets is not None:
@@ -305,7 +354,9 @@ class Episode:
     phase.  The phase is ``high`` (True for the high rate) and ``rate``
     reads the matching rate from ``params``.  ``run_episode`` and the
     control environment both step this class, so one seed gives one
-    trajectory whichever of them drives it.
+    trajectory whichever of them drives it.  Reset with a list of seeds,
+    it is a bank of episodes stepped together, one row and one generator
+    each, and row e follows the trajectory of seed e.
     """
 
     def __init__(self, topology, params: SystemParams, delta_t: float):
@@ -321,24 +372,48 @@ class Episode:
         self.epoch = 0
 
     @property
-    def rate(self) -> float:
-        """The shared arrival rate of the current phase."""
-        return self.params.rate_high if self.high else self.params.rate_low
+    def bank(self) -> bool:
+        """Whether this is a bank of episodes, one row each."""
+        return isinstance(self.rng, list)
+
+    @property
+    def rate(self):
+        """The shared arrival rate of the current phase; one per row of a bank."""
+        p = self.params
+        if self.bank:
+            return np.where(self.high, p.rate_high, p.rate_low)
+        return p.rate_high if self.high else p.rate_low
 
     def reset(self, seed) -> None:
-        """Start a new episode from an int seed or a Generator."""
-        self.rng = np.random.default_rng(seed)     # a Generator comes back as itself
-        self.queues = init_queues(self.params, self.topology.n_nodes, self.rng)
-        self.high = regime_init(self.rng)
+        """Start a new episode from an int seed or a Generator, or a bank of
+        E episodes from a list of them: queues (E, n), phases (E,) and a
+        list of E generators."""
+        n = self.topology.n_nodes
+        if isinstance(seed, list):
+            self.rng = [np.random.default_rng(s) for s in seed]
+            self.queues = np.stack([init_queues(self.params, n, g) for g in self.rng])
+            self.high = np.array([regime_init(g) for g in self.rng])
+        else:
+            self.rng = np.random.default_rng(seed)     # a Generator comes back as itself
+            self.queues = init_queues(self.params, n, self.rng)
+            self.high = regime_init(self.rng)
         self.epoch = 0
 
     def advance(self, profile) -> EpochOutcome:
-        """Run one epoch under ``profile``, then redraw the arrival phase."""
+        """Run one epoch under ``profile``, then redraw the arrival phase;
+        a bank takes an (E, n) offload and redraws each row's phase."""
         p = self.params
+        rates = self.service_rates
+        if self.bank:
+            rates = np.broadcast_to(rates, self.queues.shape)
         out = run_epoch(self.queues, profile, self.topology, self.rate,
-                        self.service_rates, p.buffer, self.delta_t, self.rng)
+                        rates, p.buffer, self.delta_t, self.rng)
         self.queues = out.next_queues
-        self.high = regime_step(self.high, p.p_high_to_low, p.p_low_to_high, self.rng)
+        if self.bank:
+            self.high = np.array([regime_step(h, p.p_high_to_low, p.p_low_to_high, g)
+                                  for h, g in zip(self.high, self.rng)])
+        else:
+            self.high = regime_step(self.high, p.p_high_to_low, p.p_low_to_high, self.rng)
         self.epoch += 1
         return out
 

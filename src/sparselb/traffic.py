@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["regime_init", "regime_step", "stationary_high_fraction"]
+__all__ = ["regime_init", "regime_step"]
 
 
 def regime_init(rng: np.random.Generator) -> bool:
@@ -26,11 +26,3 @@ def regime_step(high: bool, p_high_to_low: float, p_low_to_high: float,
     if high:
         return u >= p_high_to_low
     return u < p_low_to_high
-
-
-def stationary_high_fraction(p_high_to_low: float, p_low_to_high: float) -> float:
-    """Long-run fraction of epochs spent in the high phase."""
-    denom = p_high_to_low + p_low_to_high
-    if denom == 0.0:
-        raise ValueError("chain has no switching; stationary split undefined")
-    return p_low_to_high / denom

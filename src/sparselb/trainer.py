@@ -20,7 +20,7 @@ import numpy as np
 from .env import LoadBalanceEnv
 from .nn import STD_FLOOR, Mlp, PolicyParameters, save_policy_parameters, sigmoid
 from .seeding import derive_seed, parallel_map
-from .simulator import SystemParams
+from .simulator import DecisionProfile, SystemParams
 
 __all__ = [
     "TrainerConfig",
@@ -107,47 +107,53 @@ def _make_env(topology, params, delta_t, horizon, cfg) -> LoadBalanceEnv:
                           observe_rate=cfg.observe_rate)
 
 
-def _rollout(env: LoadBalanceEnv, policy: PolicyParameters, seed, explore=False):
-    """Run one episode; returns (observations, actions, means, rewards).
+def _explore_bank(env: LoadBalanceEnv, policy: PolicyParameters, seeds: list):
+    """Run one episode per seed as one bank; returns observations, actions
+    and means, each (E, T, .), and rewards (E, T).
 
-    The action is the squashed network output, plus Gaussian noise of the
-    policy's scale from a generator derived from ``seed`` when
-    ``explore``; it is stored raw and clipped into [0, 1] for the
-    environment.
+    The action is the squashed network output plus Gaussian noise of the
+    policy's scale, from a generator derived from the episode's seed; it is
+    stored raw and clipped into [0, 1] for the environment.  The network
+    reads the bank as (E, 1, D), so every row gets the batch-1 matmul that
+    one episode alone would get, bit for bit.
     """
     net, sigma = policy.mlp(), policy.std
-    noise = np.random.default_rng(derive_seed(seed, "explore")) if explore else None
-    obs = env.reset(seed)
-    obs_list, act_list, mu_list, rew_list = [], [], [], []
-    while not env.done:
-        out, _ = net.forward(obs)
-        mu = sigmoid(out)[0]
-        raw = mu if noise is None else mu + sigma * noise.standard_normal(mu.size)
-        tr = env.step(np.clip(raw, 0.0, 1.0))
-        obs_list.append(obs)
-        act_list.append(raw)
-        mu_list.append(mu)
-        rew_list.append(tr.reward)
-        obs = tr.next_observation
-    return (np.asarray(obs_list), np.asarray(act_list),
-            np.asarray(mu_list), np.asarray(rew_list))
+    noise = [np.random.default_rng(derive_seed(s, "explore")) for s in seeds]
+    obs = env.reset(seeds)
+    n_ep, horizon = len(seeds), env.horizon
+    obs_all = np.empty((n_ep, horizon, obs.shape[-1]))
+    act_all, mu_all = np.empty((2, n_ep, horizon, sigma.size))
+    rewards = np.empty((n_ep, horizon))
+    rows = np.arange(n_ep)[:, None]
+    for t in range(horizon):
+        mu = sigmoid(net.forward(obs[:, None])[0][:, 0])
+        raw = mu + sigma * np.array([g.standard_normal(mu.shape[1]) for g in noise])
+        start = env.queues
+        out = env.advance(DecisionProfile(offload=np.clip(raw, 0.0, 1.0)[rows, start]))
+        obs_all[:, t], act_all[:, t], mu_all[:, t] = obs, raw, mu
+        rewards[:, t] = env.reward(start, out)
+        obs = env.observation()
+    return obs_all, act_all, mu_all, rewards
 
 
 def collect_batch(env: LoadBalanceEnv, cfg: TrainerConfig, policy: PolicyParameters,
                   seed: int) -> RolloutBatch:
     """Roll whole episodes until at least batch_size transitions are stored.
 
-    Episode seeds derive from (seed, episode index), so the batch content
-    is identical for any worker count.
+    Episode seeds derive from (seed, episode index).  Each worker steps one
+    contiguous chunk of them as one bank, and a bank row draws what its
+    episode alone would, so the batch content is identical for any worker
+    count.
     """
     episodes = max(1, math.ceil(cfg.batch_size / env.horizon))
+    seeds = [derive_seed(seed, "episode", e) for e in range(episodes)]
+    chunks = min(max(1, cfg.workers), episodes)
     rolls = parallel_map(
-        partial(_rollout, env, policy, explore=True),
-        [derive_seed(seed, "episode", e) for e in range(episodes)], cfg.workers)
-    obs = np.concatenate([r[0] for r in rolls])
-    actions = np.concatenate([r[1] for r in rolls])
-    mu_old = np.concatenate([r[2] for r in rolls])
-    rewards = np.stack([r[3] for r in rolls])       # (E, T); fails on unequal lengths
+        partial(_explore_bank, env, policy),
+        [seeds[k * episodes // chunks:(k + 1) * episodes // chunks] for k in range(chunks)],
+        cfg.workers)
+    obs, actions, mu_old, rewards = (np.concatenate(parts) for parts in zip(*rolls))
+    obs, actions, mu_old = (x.reshape(-1, x.shape[-1]) for x in (obs, actions, mu_old))
     sigma = policy.std
     logp_old = _gaussian_logp(actions, mu_old, sigma)
     return RolloutBatch(obs, actions, mu_old, sigma.copy(), logp_old, rewards)
@@ -341,8 +347,18 @@ def ppo_update(state: TrainState, batch: RolloutBatch, cfg: TrainerConfig,
 
 
 def evaluate_params(env: LoadBalanceEnv, policy: PolicyParameters, seeds) -> float:
-    """Mean episode return of the deterministic policy over the given seeds."""
-    return float(np.mean([_rollout(env, policy, s)[3].sum() for s in seeds]))
+    """Mean episode return of the deterministic policy over the given seeds,
+    one ``LoadBalanceEnv.step`` per epoch of each episode."""
+    net = policy.mlp()
+    returns = []
+    for seed in seeds:
+        obs, rewards = env.reset(seed), []
+        while not env.done:
+            tr = env.step(np.clip(sigmoid(net.forward(obs)[0])[0], 0.0, 1.0))
+            rewards.append(tr.reward)
+            obs = tr.next_observation
+        returns.append(np.sum(rewards))
+    return float(np.mean(returns))
 
 
 # ---- drivers ----

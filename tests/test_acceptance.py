@@ -21,6 +21,8 @@ from sparselb.trainer import (CemConfig, RolloutBatch, TrainerConfig,
 
 from reference_engine import gillespie_epoch
 
+pytestmark = pytest.mark.acceptance
+
 ACCEPT_SEED = 20260822
 EPISODES = 100
 HORIZON = 50

@@ -51,6 +51,22 @@ def test_step_requires_reset():
         env.step(threshold_zeta(5))
 
 
+def test_bank_reset_observes_each_row_and_refuses_step():
+    # a list of seeds makes a bank: one observation row per seed, each the
+    # one-seed observation; step stays one-episode and refuses it
+    kw = dict(observe_rate=True, observation_mode="neighborhood",
+              params=SystemParams(start_distribution=(0.5, 0, 0, 0, 0.5, 0)))
+    env = make_env(**kw)
+    obs = env.reset([3, 4, 5])
+    assert env.bank and env.queues.shape == (3, 9) and obs.shape == (3, 7)
+    for row, seed in zip(obs, (3, 4, 5)):
+        assert np.array_equal(row, make_env(**kw).reset(seed))
+    with pytest.raises(RuntimeError, match="one seed"):
+        env.step(threshold_zeta(5))
+    env.reset(3)
+    assert not env.bank and env.step(threshold_zeta(5)).next_observation.shape == (7,)
+
+
 def test_step_rejects_bad_shape():
     env = make_env()
     env.reset(seed=0)

@@ -59,6 +59,19 @@ def test_keys():
         policy_key({"zeta": [0, 1]})
 
 
+def test_policy_key_reads_kind_in_any_case():
+    # make_policy lowercases kind, so two capitalized static tables run as
+    # static policies; each must keep its own name, and with it its own
+    # episode seeds, instead of both filing under "Static"
+    specs = [{"kind": "Static", "name": "ramp", "zeta": [0, 0, 0.2, 0.5, 0.8, 1]},
+             {"kind": "Static", "name": "flat", "zeta": [0.3] * 6}]
+    cells = sweep(small_cfg(policies=specs))
+    assert [c.policy for c in cells] == ["ramp", "flat"]
+    assert policy_key({"kind": "MFR", "checkpoint": "x.json", "name": "net"}) == "net"
+    assert policy_key({"kind": "Static", "zeta": [0, 1]}) == "Static"
+    assert policy_key({"kind": "JSQ"}) == "JSQ"
+
+
 def test_build_topology_dispatch(tmp_path):
     assert build_topology({"family": "cyc1d", "n": 9}).n_nodes == 9
     assert build_topology({"family": "ccc", "order": 3}).n_nodes == 24

@@ -66,6 +66,27 @@ def test_effective_rates_validation():
         effective_rates(topo, np.array([0.5, 0.5, 1.5]), 1.0)
 
 
+@pytest.mark.parametrize("topo", [
+    from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 4), (6, 3)]),
+    build_config_model(40, [2, 3, 4, 5], 2),
+    from_edges(3, []),
+], ids=["degrees-0-to-3", "cm-degrees-2-to-5", "no-edges"])
+def test_effective_rates_bank_rows_match_one_row_calls(topo):
+    # an (E, n) offload with one base rate per row gives each row exactly
+    # its one-row rates, padding, odd degrees and isolated nodes included
+    rng = np.random.default_rng(7)
+    offload = rng.random((5, topo.n_nodes))
+    base = np.array([0.9, 0.6, 0.9, 0.0, 1.7])
+    got = effective_rates(topo, offload, base)
+    assert got.shape == offload.shape
+    for row, a, b in zip(got, offload, base):
+        assert np.array_equal(row, effective_rates(topo, a, b))
+    with pytest.raises(ValueError, match="one base rate per row"):
+        effective_rates(topo, offload, 0.9)
+    with pytest.raises(ValueError, match="one entry per node"):
+        effective_rates(topo, offload[:, None], base)
+
+
 def test_generator_matrix_buffer_one():
     q = _augmented_generators(0.9, 1.0, 1, 1.0)[0][:-1, :-1]
     assert np.array_equal(q, np.array([[-0.9, 1.0], [0.9, -1.0]]))

@@ -479,6 +479,46 @@ def test_queue_bank_matches_oracle(data):
         data.draw(st.integers(0, 2**32 - 1)))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_queue_bank_rows_match_one_row_oracle(data):
+    # one (E, n) call is E one-row calls, row e on rng[e]: the same four
+    # outputs and every generator left where the one-row oracle leaves it.
+    # Each row scales its rates, so rows reach different largest tick
+    # counts and a row of scale 0 has no ticks at all.
+    rows, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 40))
+    buffer = data.draw(st.sampled_from([1, 5, 17, 200]))
+    delta_t = data.draw(st.floats(0.01, 40.0))
+    vec = st.lists(rates, min_size=n, max_size=n)
+    queues = np.array([data.draw(st.lists(st.integers(0, buffer), min_size=n,
+                                          max_size=n)) for _ in range(rows)])
+    scale = np.array([data.draw(st.sampled_from([0.0, 0.1, 1.0, 4.0]))
+                      for _ in range(rows)])[:, None]
+    lam = scale * np.array([data.draw(vec) for _ in range(rows)])
+    mu = scale * np.array([data.draw(vec) for _ in range(rows)])
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=rows, max_size=rows))
+    gens = [np.random.default_rng(s) for s in seeds]
+    got = simulate_queue_bank(queues, lam, mu, buffer, delta_t, gens)
+    for e, seed in enumerate(seeds):
+        ref = np.random.default_rng(seed)
+        want = bank_oracle(queues[e], lam[e], mu[e], buffer, delta_t, ref)
+        for g, w in zip(got, want):
+            assert g.shape == queues.shape and g.dtype == w.dtype
+            assert np.array_equal(g[e], w)
+        assert gens[e].bit_generator.state == ref.bit_generator.state
+
+
+def test_queue_bank_rows_need_one_generator_and_rate_each():
+    q, lam = np.zeros((2, 3), dtype=np.int64), np.ones((2, 3))
+    gens = [np.random.default_rng(0), np.random.default_rng(1)]
+    with pytest.raises(ValueError, match="generator per row"):
+        simulate_queue_bank(q, lam, lam, 5, 1.0, gens[:1])
+    with pytest.raises(ValueError, match="rate per queue"):
+        simulate_queue_bank(q, lam, np.ones(3), 5, 1.0, gens)
+    with pytest.raises(ValueError, match="rate per queue"):
+        simulate_queue_bank(q, lam.ravel(), lam, 5, 1.0, gens)
+
+
 @pytest.mark.parametrize("buffer", [1, 5])
 @pytest.mark.parametrize("n", [1, 7])
 @pytest.mark.parametrize("kmax", [0, 1, WALK, WALK + 1, 2 * WALK, 2 * WALK + 1])
@@ -537,15 +577,23 @@ def test_queue_bank_memory_is_bounded_by_the_chunk():
     # entry, 16 allowed), so 16 * WALK * n bytes; the per-queue vectors
     # (rates, tick counts, sort order, keys, lookups, tallies, outputs) stay
     # under 256 * n bytes.  At dt=200 the mean tick count is 380, so one
-    # (kmax, n) float64 draw alone would be ~6 MB.
+    # (kmax, n) float64 draw alone would be ~6 MB.  A bank of E rows is
+    # held to the same bound with n replaced by E * n.  The buffer's walk
+    # table is a cache shared by every call, so it is built before measuring.
     n, delta_t = 2000, 200.0
-    bound = 16 * WALK * n + 256 * n
-    queues, lam, mu = np.zeros(n, dtype=np.int64), np.full(n, 0.9), np.ones(n)
-    rng = np.random.default_rng(5)
-    tracemalloc.start()
-    try:
-        simulate_queue_bank(queues, lam, mu, 5, delta_t, rng)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < bound, (peak, bound)
+    _walk_table(5)
+    for rows in (None, 8):
+        shape = (n,) if rows is None else (rows, n)
+        size = int(np.prod(shape))
+        bound = 16 * WALK * size + 256 * size
+        queues, lam, mu = np.zeros(shape, dtype=np.int64), np.full(shape, 0.9), np.ones(shape)
+        rng = np.random.default_rng(5)
+        if rows is not None:
+            rng = [np.random.default_rng([5, e]) for e in range(rows)]
+        tracemalloc.start()
+        try:
+            simulate_queue_bank(queues, lam, mu, 5, delta_t, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (rows, peak, bound)

@@ -6,7 +6,7 @@ import pytest
 from sparselb.policies import OwnPolicy
 from sparselb.simulator import Episode, SystemParams
 from sparselb.topology import build_cyc1d
-from sparselb.traffic import regime_init, regime_step, stationary_high_fraction
+from sparselb.traffic import regime_init, regime_step
 
 
 def test_rate_property():
@@ -62,13 +62,6 @@ def test_step_is_pure():
         assert nxt == regime_step(high, 0.2, 0.5, again)
         ref.random()
     assert rng.random() == ref.random()
-
-
-def test_stationary_fraction_formula():
-    # p(low->high) / (p(high->low) + p(low->high)) = 0.5 / 0.7
-    assert stationary_high_fraction(0.2, 0.5) == pytest.approx(5.0 / 7.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        stationary_high_fraction(0.0, 0.0)
 
 
 def test_long_run_high_fraction():

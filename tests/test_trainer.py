@@ -7,6 +7,7 @@ from scipy import stats as sps
 from sparselb.env import LoadBalanceEnv
 from sparselb.nn import STD_FLOOR, Mlp, PolicyParameters, n_params, sigmoid
 from sparselb.policies import MfrPolicy, OwnPolicy, StaticZetaPolicy
+from sparselb.seeding import derive_seed
 from sparselb.simulator import SystemParams, run_episode
 from sparselb.topology import build_cyc1d, from_edges
 from sparselb.trainer import (Adam, CemConfig, RolloutBatch, TrainerConfig,
@@ -190,6 +191,69 @@ def test_collect_batch_ignores_env_left_mid_episode():
     b = collect_batch(tiny_env(), cfg, policy, seed=4)
     for field in ("obs", "actions", "mu_old", "logp_old", "rewards"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+def rollout_oracle(env, policy, seed):
+    """One exploring episode through ``LoadBalanceEnv.step``, the way the
+    trainer collected its batches before it stepped them as one bank:
+    returns (observations, raw actions, means, rewards)."""
+    net, sigma = policy.mlp(), policy.std
+    noise = np.random.default_rng(derive_seed(seed, "explore"))
+    obs = env.reset(seed)
+    obs_list, act_list, mu_list, rew_list = [], [], [], []
+    while not env.done:
+        out, _ = net.forward(obs)
+        mu = sigmoid(out)[0]
+        raw = mu + sigma * noise.standard_normal(mu.size)
+        tr = env.step(np.clip(raw, 0.0, 1.0))
+        obs_list.append(obs)
+        act_list.append(raw)
+        mu_list.append(mu)
+        rew_list.append(tr.reward)
+        obs = tr.next_observation
+    return (np.asarray(obs_list), np.asarray(act_list),
+            np.asarray(mu_list), np.asarray(rew_list))
+
+
+# a path, a triangle with a pendant and an isolated node: degrees 0 to 3
+MIXED = from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 4), (6, 3)])
+
+
+@pytest.mark.parametrize("mode, observe_rate, start, workers, reward", [
+    ("global", False, None, 1, "realized"),
+    ("global", True, None, 2, "realized"),
+    ("neighborhood", False, None, 1, "realized"),
+    ("neighborhood", True, (0.2, 0.2, 0.2, 0.2, 0.1, 0.1), 2, "realized"),
+    ("ownstate", True, None, 1, "realized"),
+    ("ownstate", False, (0.5, 0.0, 0.0, 0.0, 0.0, 0.5), 2, "realized"),
+    ("global", False, None, 1, "expected"),
+])
+def test_collect_batch_matches_per_episode_oracle(mode, observe_rate, start, workers,
+                                                  reward):
+    # the bank must reproduce one LoadBalanceEnv episode per seed, bit for
+    # bit; 7 episodes split unevenly over two workers
+    params = SystemParams(start_distribution=start)
+    topo = MIXED if mode == "neighborhood" else TOPO
+
+    def make_env():
+        return LoadBalanceEnv(topo, params, 1.5, 6, observation_mode=mode,
+                              observe_rate=observe_rate, reward_mode=reward)
+    env = make_env()
+    cfg = tiny_cfg(batch_size=40, workers=workers, observation_mode=mode,
+                   observe_rate=observe_rate)
+    policy = PolicyParameters.init(5, (16, 8), np.random.default_rng(4),
+                                   observation_mode=mode, obs_dim=env.observation_dim)
+    batch = collect_batch(env, cfg, policy, seed=31)
+    rolls = [rollout_oracle(make_env(), policy, derive_seed(31, "episode", e))
+             for e in range(7)]
+    want = {"obs": np.concatenate([r[0] for r in rolls]),
+            "actions": np.concatenate([r[1] for r in rolls]),
+            "mu_old": np.concatenate([r[2] for r in rolls]),
+            "rewards": np.stack([r[3] for r in rolls])}
+    want["logp_old"] = _gaussian_logp(want["actions"], want["mu_old"], policy.std)
+    for field, value in want.items():
+        got = getattr(batch, field)
+        assert got.shape == value.shape and np.array_equal(got, value), field
 
 
 def test_collect_batch_logp_consistent():
