@@ -32,7 +32,7 @@ class LoadBalanceEnv(Episode):
 
     def __init__(self, topology, params: SystemParams, delta_t: float,
                  horizon: int, observation_mode: str = "global",
-                 observe_rate: bool = False, reward_mode: str = "realized"):
+                 reward_mode: str = "realized"):
         super().__init__(topology, params, delta_t)
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
@@ -42,26 +42,21 @@ class LoadBalanceEnv(Episode):
             raise ValueError(f"unknown reward_mode {reward_mode!r}")
         self.horizon = int(horizon)
         self.observation_mode = observation_mode
-        self.observe_rate = observe_rate
         self.reward_mode = reward_mode
 
     # ---- observation ----
 
     @property
     def observation_dim(self) -> int:
-        return self.params.buffer + 1 + (1 if self.observe_rate else 0)
+        return self.params.buffer + 1
 
     def observation(self) -> np.ndarray:
         """The deployed policy's observation; scheduler 0's row outside
-        global mode, then the normalized rate if observed.  A bank of
-        episodes gives one row per episode."""
+        global mode.  A bank of episodes gives one row per episode."""
         obs = observations(self.queues, self.topology, self.params.buffer,
                            self.observation_mode)
         if self.observation_mode != "global":
             obs = obs[..., 0, :]
-        if self.observe_rate:
-            rate = np.asarray(self.rate / self.params.rate_high)
-            obs = np.concatenate([obs, rate[..., None]], axis=-1)
         return obs
 
     @property

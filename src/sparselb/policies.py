@@ -45,23 +45,23 @@ def _node_fills(queues, topology, buffer: int | None, *rates) -> tuple:
 
 
 class _ArgminPolicy:
-    """Shared machinery for jsq/sed: rowwise argmin over candidate scores."""
+    """Shared machinery for jsq/sed: each node routes to its first candidate
+    (``Topology.candidates``) of lowest score."""
 
     def _scores(self, queues, service_rates) -> np.ndarray:
         raise NotImplementedError
 
     def profile(self, queues, topology, service_rates) -> DecisionProfile:
-        n = topology.n_nodes
         scores = self._scores(*_node_fills(queues, topology, None, service_rates))
-        pad = topology.padded_neighbors
-        own = np.arange(n, dtype=np.int64)
-        if pad.shape[1] == 0:
-            return DecisionProfile(targets=own)
-        cand = np.concatenate([own[:, None], np.where(pad >= 0, pad, 0)], axis=1)
-        vals = scores[cand]
-        vals[:, 1:][~topology.padded_mask] = np.inf
-        # first minimal column wins: own first, then neighbors in index order
-        targets = cand[own, np.argmin(vals, axis=1)]
+        vals = scores.take(topology.candidates)
+        vals += topology.candidate_padding
+        # scan own first, then neighbors in index order; only a strictly
+        # lower score moves the target, so the first minimal one wins
+        own, *others = topology.candidates
+        targets, low = own.copy(), vals[0]
+        for node, score in zip(others, vals[1:]):
+            np.copyto(targets, node, where=score < low)
+            np.minimum(low, score, out=low)
         return DecisionProfile(targets=targets)
 
 
@@ -156,8 +156,7 @@ class MfrPolicy:
         if params.layer_sizes[0] != params.buffer + 1:
             raise ValueError(
                 f"policy network takes {params.layer_sizes[0]} inputs but MfrPolicy "
-                f"feeds {params.buffer + 1} fill fractions; networks trained with "
-                "observe_rate=True also read the arrival rate and cannot run here")
+                f"feeds {params.buffer + 1} fill fractions")
         self.params = params
         self.buffer = params.buffer
 

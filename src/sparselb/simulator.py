@@ -9,9 +9,10 @@ Arrivals to a full queue are dropped and attributed to that queue.
 Every queue is advanced as an independent birth-death chain: per-packet
 routing thins each scheduler's Poisson stream into independent per-queue
 Poisson streams at the effective rates.  The walk is vectorized across
-queues and takes 8 ticks per step, looking the outcome of each queue's
-next 8 arrival/service bits up in a table built once per buffer (this is
-what makes systems of several thousand queues cheap).  The literal race
+queues and takes 8 ticks per step: the 8 bytes of one random 64-bit word
+decide each queue's next 8 ticks (arrival or service attempt), and their
+outcome is looked up in a table built once per buffer (this is what makes
+systems of several thousand queues cheap).  The literal race
 of competing exponential clocks with per-packet routing samples the same
 law one event at a time; it is kept beside the tests as their oracle.
 """
@@ -156,10 +157,10 @@ def checked_queues(queues, buffer: int | None, *rates) -> tuple:
 # ---- independent per-queue birth-death bank ----
 
 
-# Ticks per table lookup: the arrival bits of WALK ticks pack into one byte.
+# Ticks per table lookup: byte r of one random 64-bit word decides tick r
+# of a walk step, and the WALK arrival bits pack into one byte.
 WALK = 8
 _ROW = WALK << 8                                      # entries per fill class
-_BIT = (1 << np.arange(WALK, dtype=np.uint8))[:, None]
 
 
 def _fill_class(z, buffer: int):
@@ -210,24 +211,38 @@ def _walk_table(buffer: int):
     return dfill, tally, base
 
 
-def _bank_arrivals(bits, u, p_arrive, row, rank, gens) -> None:
-    """Arrival flags of one walk step of a bank, written into ``bits``.
+def _word_source(rng):
+    """The bit generator of ``rng``: it must be a numpy Generator whose raw
+    output is a whole 64-bit word, else ValueError."""
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"need a numpy.random.Generator, not {type(rng).__name__}")
+    bits = rng.bit_generator
+    # named here, not at import: importing numpy.random costs set-up time
+    if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+                             np.random.SFC64)):
+        raise ValueError(f"{type(bits).__name__} gives raw words narrower than the 64 "
+                         "random bits of a walk step; use PCG64, PCG64DXSM, Philox "
+                         "or SFC64")
+    return bits
 
-    ``row`` and ``rank`` give each of the m live queues its row and its
-    place in that row's own walk order.  Row e draws one (WALK, m_e) block
-    from gens[e] into ``u``, exactly as a one-row call would, and tick r
-    of every queue is read from its row's block.
-    """
-    k = np.bincount(row, minlength=len(gens))               # live queues per row
-    off = WALK * (np.cumsum(k) - k)
-    for g, o, m in zip(gens, off.tolist(), k.tolist()):
-        if m:
-            g.random(out=u[o:o + WALK * m].reshape(WALK, m))
-    at = off[row] + rank                                    # each queue's tick 0
-    stride = k[row]
-    for r in range(WALK):
-        np.less(u.take(at), p_arrive, out=bits[r].view(bool))
-        at += stride
+
+def _bank_words(row, rank, bits):
+    """One walk step's words of a bank, in walk order.  ``row`` and ``rank``
+    give each live queue its row and its place in that row's walk order;
+    row e draws one word per live queue from bits[e], as a one-row call
+    would, and each queue takes the word of its rank."""
+    k = np.bincount(row, minlength=len(bits))
+    words = np.concatenate([b.random_raw(c) for b, c in zip(bits, k.tolist()) if c])
+    return words.take((np.cumsum(k) - k)[row] + rank)
+
+
+def _bank_ties(at, row, gens):
+    """The tie bytes ``at`` of a bank step put in draw order (row by row,
+    each in its walk order) and their uniforms, one draw per row."""
+    r = row.take(at // WALK)
+    at = at[np.argsort(r, kind="stable")]
+    k = np.bincount(r, minlength=len(gens)).tolist()
+    return at, np.concatenate([g.random(c) for g, c in zip(gens, k) if c])
 
 
 def simulate_queue_bank(queues, arrival_rates, service_rates, buffer: int,
@@ -235,42 +250,58 @@ def simulate_queue_bank(queues, arrival_rates, service_rates, buffer: int,
     """Advance independent bounded queues over one epoch; exact sampling.
 
     Uses one uniformized clock per queue at rate arrival + service: each
-    tick is an arrival with the arrival fraction (dropped when the queue
+    tick is an arrival with the arrival fraction p (dropped when the queue
     is full) and otherwise a service attempt (a no-op on an empty queue).
     Ticks are Poisson, so arrivals per queue are Poisson at the arrival
     rate.  The queues are walked in the order of descending tick count
     (ties in input order), WALK ticks a step.  The random stream is the
-    tick counts, then for each step s = 0, WALK, 2 * WALK, ... one
-    (WALK, m) block of uniforms, where m is the number of queues with
-    more than s ticks and row r holds tick s + r of those queues in walk
-    order; uniforms past a queue's last tick are drawn and ignored.  The
-    block's arrival bits pack into one byte per queue, and the step looks
-    the change of fill, the drops and the idle service attempts up in the
-    buffer's walk table by (boundary class of the fill, live ticks,
+    tick counts, then for each step s = 0, WALK, 2 * WALK, ... one raw
+    64-bit word from the bit generator for each of the m queues with more
+    than s ticks, in walk order, then one uniform for each tie among those
+    words' bytes.  Byte r of a queue's word (bits 8r to 8r + 7) decides
+    its tick s + r against t = min(floor(256 p), 255): below t is an
+    arrival, above it a service attempt, and a tie is an arrival iff its
+    uniform u < 256 p - t.  So P(arrival) is p rounded up to a multiple of
+    2**-61.  Ties draw in walk order, byte by byte within a queue; bytes
+    past a queue's last tick are drawn and ignored, ties among them too.
+    The step's arrival bits pack into one byte per queue, and the step
+    looks the change of fill, the drops and the idle service attempts up
+    in the buffer's walk table by (boundary class of the fill, live ticks,
     arrival bits).  Arrivals and services follow from arrivals + services
     + idle = ticks and arrivals - drops - services = change of fill.
+    ``rng`` must be a numpy Generator on a 64-bit bit generator (PCG64,
+    PCG64DXSM, Philox or SFC64), and every rate nonnegative, else
+    ValueError.
 
     A bank of E episodes passes (E, n) fills and rates and a sequence of
     E generators, and gets (E, n) results: row e draws from rng[e]
     exactly what a one-row call with rng[e] draws, its tick counts and
-    then its own (WALK, m_e) blocks.  All E * n queues share one walk in
-    the order of descending tick count (ties in row-major order), so each
-    row's walk order is a subsequence of it and the live queues are
-    still a prefix.
+    then, each step, its own words and its own ties.  All E * n queues
+    share one walk in the order of descending tick count (ties in
+    row-major order), so each row's walk order is a subsequence of it and
+    the live queues are still a prefix.
 
     Returns (next_queues, drops, arrivals, services).
     """
     q, lam, mu = checked_queues(queues, buffer, arrival_rates, service_rates)
+    if q.size and np.minimum(lam, mu).min() < 0:
+        raise ValueError("arrival and service rates must be nonnegative")
     shape = q.shape
     bank = q.ndim == 2
     total = lam + mu
     if bank:
-        gens = list(rng)
+        try:
+            gens = list(rng)
+        except TypeError:
+            raise ValueError("an (E, n) bank needs a sequence of E generators, "
+                             "one per row") from None
         if len(gens) != shape[0]:
             raise ValueError(f"need one generator per row ({shape[0]}), not {len(gens)}")
+        bits = [_word_source(g) for g in gens]
         counts = np.concatenate([g.poisson(x) for g, x in zip(gens, total * delta_t)])
         q, lam, total = q.ravel(), lam.ravel(), total.ravel()
     else:
+        bits = _word_source(rng)
         counts = rng.poisson(total * delta_t)
     n = q.size
     kmax = int(counts.max()) if n else 0
@@ -278,43 +309,45 @@ def simulate_queue_bank(queues, arrival_rates, service_rates, buffer: int,
         return tuple(x.reshape(shape) for x in (q, *np.zeros((3, n), dtype=np.int64)))
     # descending tick counts; a stable sort of small unsigned keys is a radix sort
     order = np.argsort((kmax - counts).astype(np.min_scalar_type(kmax)), kind="stable")
-    ticks = counts[order]
-    p_arrive = np.divide(lam, total, out=np.zeros_like(lam), where=total > 0)[order]
-    live_n = np.zeros(kmax + WALK, dtype=np.int64)         # queues with a tick s
-    live_n[:kmax] = n - np.cumsum(np.bincount(counts))[:kmax]
-    # a queue's last step walks (ticks - 1) % WALK + 1 ticks
-    short = ((ticks - 1) % WALK + 1 - WALK) << 8
+    ticks = counts.take(order)
+    live = np.searchsorted(-ticks, -np.arange(kmax + WALK - 1)).tolist()  # ticks > s
+    # byte thresholds in walk order, WALK copies a queue: 256 p is exact
+    o = order[:live[0]]
+    p = lam.take(o) / total.take(o) * 256
+    t = np.minimum(p, 255).astype(np.uint8)
+    frac = p - t
+    t = np.repeat(t, WALK)
+    # a queue's last step walks WALK - short ticks
+    short = (-ticks & (WALK - 1)) << 8
     dfill, tally, base = _walk_table(buffer)
-    z = q[order]
+    z = q.take(order)
     acc = np.zeros(n, dtype=np.int64)                      # drops + (idle << 32)
-    u = np.empty(WALK * n)
-    arrive = np.empty(WALK * n, dtype=np.uint8)
+    arrive, tie = np.empty((2, WALK * live[0]), dtype=bool)
     if bank:
         row = order // shape[1]                            # row of each walk place
         rank = np.empty_like(row)                          # place in its row's walk
         rank[np.argsort(row, kind="stable")] = np.arange(n) % shape[1]
     for s in range(0, kmax, WALK):
-        m, m_full = live_n[s], live_n[s + WALK - 1]        # queues with 1+ / WALK ticks left
-        bits = arrive[:WALK * m].reshape(WALK, m)
-        if bank:
-            _bank_arrivals(bits, u, p_arrive[:m], row[:m], rank[:m], gens)
-        else:
-            block = u[:WALK * m].reshape(WALK, m)
-            rng.random(out=block)
-            np.less(block, p_arrive[:m], out=bits.view(bool))
-        bits *= _BIT                                       # row r is bit r
+        m, m_full = live[s], live[s + WALK - 1]            # queues with 1+ / WALK ticks left
+        words = _bank_words(row[:m], rank[:m], bits) if bank else bits.random_raw(m)
+        byte = words.view(np.uint8)                        # little-endian: byte r is bits 8r..
+        a, th = arrive[:WALK * m], t[:WALK * m]
+        np.less(byte, th, out=a)
+        at = np.equal(byte, th, out=tie[:WALK * m]).nonzero()[0]
+        if at.size:
+            at, u = _bank_ties(at, row, gens) if bank else (at, rng.random(at.size))
+            a[at] = u < frac.take(at // WALK)
         key = base.take(z[:m])
-        key += bits.sum(axis=0, dtype=np.uint8)
-        key[m_full:] += short[m_full:m]
+        key += np.packbits(a, bitorder="little")           # bit r is tick s + r
+        key[m_full:] -= short[m_full:m]
         z[:m] += dfill.take(key)
         acc[:m] += tally.take(key)
-    out = np.empty((3, n), dtype=np.int64)                 # back in input order
-    out[0, order] = z
-    out[1, order] = acc & 0xFFFFFFFF                       # tick counts stay below 2**32
-    out[2, order] = acc >> 32
-    nq, drops, idle = out
-    arrivals = (counts - idle + nq - q + drops) >> 1
-    result = nq, drops, arrivals, counts - arrivals - idle
+    nq, tallies = np.empty((2, n), dtype=np.int64)         # back in input order
+    nq[order], tallies[order] = z, acc
+    drops = tallies & 0xFFFFFFFF                           # tick counts stay below 2**32
+    active = counts - (tallies >> 32)                      # arrivals + services
+    arrivals = (active + nq - q + drops) >> 1
+    result = nq, drops, arrivals, active - arrivals
     return tuple(x.reshape(shape) for x in result) if bank else result
 
 

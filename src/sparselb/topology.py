@@ -72,6 +72,24 @@ class Topology:
         mask.setflags(write=False)
         return mask
 
+    @cached_property
+    def candidates(self) -> np.ndarray:
+        """(1 + max_degree, n) nodes an argmin rule chooses from, one column
+        per node: the node itself, then its padded neighbors with padding
+        read as node 0."""
+        own = np.arange(self.n_nodes, dtype=np.int64)
+        cand = np.vstack([own, np.where(self.padded_mask, self.padded_neighbors, 0).T])
+        cand.setflags(write=False)
+        return cand
+
+    @cached_property
+    def candidate_padding(self) -> np.ndarray:
+        """Added to scores read at ``candidates``: +inf on padding, else 0."""
+        pad = np.zeros(self.candidates.shape)
+        pad[1:][~self.padded_mask.T] = np.inf
+        pad.setflags(write=False)
+        return pad
+
     # ---- queries ----
 
     def edges(self) -> list[tuple[int, int]]:

@@ -52,7 +52,6 @@ class TrainerConfig:
     eval_episodes: int = 4
     workers: int = 1
     observation_mode: str = "global"
-    observe_rate: bool = False
 
     def __post_init__(self) -> None:
         if self.minibatch_size < 1 or self.minibatch_size > self.batch_size:
@@ -74,7 +73,6 @@ class CemConfig:
     noise: float = 0.25
     noise_decay: float = 0.9
     observation_mode: str = "global"
-    observe_rate: bool = False
 
     def __post_init__(self) -> None:
         if self.population < 4:
@@ -103,8 +101,7 @@ class RolloutBatch:
 
 def _make_env(topology, params, delta_t, horizon, cfg) -> LoadBalanceEnv:
     return LoadBalanceEnv(topology, params, delta_t, horizon,
-                          observation_mode=cfg.observation_mode,
-                          observe_rate=cfg.observe_rate)
+                          observation_mode=cfg.observation_mode)
 
 
 def _explore_bank(env: LoadBalanceEnv, policy: PolicyParameters, seeds: list):

@@ -54,17 +54,17 @@ def test_step_requires_reset():
 def test_bank_reset_observes_each_row_and_refuses_step():
     # a list of seeds makes a bank: one observation row per seed, each the
     # one-seed observation; step stays one-episode and refuses it
-    kw = dict(observe_rate=True, observation_mode="neighborhood",
+    kw = dict(observation_mode="neighborhood",
               params=SystemParams(start_distribution=(0.5, 0, 0, 0, 0.5, 0)))
     env = make_env(**kw)
     obs = env.reset([3, 4, 5])
-    assert env.bank and env.queues.shape == (3, 9) and obs.shape == (3, 7)
+    assert env.bank and env.queues.shape == (3, 9) and obs.shape == (3, 6)
     for row, seed in zip(obs, (3, 4, 5)):
         assert np.array_equal(row, make_env(**kw).reset(seed))
     with pytest.raises(RuntimeError, match="one seed"):
         env.step(threshold_zeta(5))
     env.reset(3)
-    assert not env.bank and env.step(threshold_zeta(5)).next_observation.shape == (7,)
+    assert not env.bank and env.step(threshold_zeta(5)).next_observation.shape == (6,)
 
 
 def test_step_rejects_bad_shape():
@@ -160,16 +160,6 @@ def test_observation_matches_deployed_policy(mode):
                     break
                 env.step(rng.random(6))
     assert checked > 100
-
-
-def test_observe_rate_appends_normalized_rate():
-    env = make_env(observe_rate=True)
-    obs = env.reset(seed=5)
-    assert obs.shape == (7,)
-    assert env.observation_dim == 7
-    assert obs[-1] in (0.6 / 0.9, 1.0)
-    tr = env.step(threshold_zeta(5))
-    assert tr.next_observation.shape == (7,)
 
 
 def test_expected_reward_mode():

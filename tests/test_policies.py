@@ -197,14 +197,15 @@ def test_mfr_neighborhood_observations():
 
 
 def test_mfr_rejects_rate_observing_network(tmp_path):
-    # a network trained with observe_rate=True reads one input more than the
-    # fill distribution MfrPolicy builds; it must fail on load, not mid-sweep
+    # a network that also read the arrival rate (earlier versions could
+    # train one) takes one input more than the fill distribution MfrPolicy
+    # builds; it must fail on load, not mid-sweep
     params = PolicyParameters.init(5, (4,), np.random.default_rng(9), obs_dim=7)
-    with pytest.raises(ValueError, match="observe_rate"):
+    with pytest.raises(ValueError, match="takes 7 inputs"):
         MfrPolicy(params)
     path = tmp_path / "ckpt.json"
     save_policy_parameters(params, path)
-    with pytest.raises(ValueError, match="observe_rate"):
+    with pytest.raises(ValueError, match="takes 7 inputs"):
         make_policy({"kind": "mfr", "checkpoint": str(path)}, 5)
 
 def test_make_policy_dispatch():

@@ -188,6 +188,19 @@ def test_run_epoch_rejects_bad_start_queues():
                                 np.random.default_rng(0))
 
 
+def test_queue_bank_rejects_negative_rates():
+    # a negative rate under a larger other rate used to run: a negative
+    # arrival rate as a queue with no arrivals, a negative service rate as
+    # one whose every tick is an arrival
+    q = np.zeros(3, dtype=np.int64)
+    for lam, mu in (([0.5, -0.5, 0.5], [1.0] * 3), ([0.5] * 3, [1.0, -0.2, 1.0])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            simulate_queue_bank(q, lam, mu, 5, 10.0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        simulate_queue_bank(np.zeros((2, 3), dtype=np.int64), [[0.5] * 3, [-0.5] * 3],
+                            np.ones((2, 3)), 5, 10.0, [np.random.default_rng(0)] * 2)
+
+
 def test_offload_array_accepted_directly():
     topo = build_cyc1d(4)
     out = run_epoch(np.zeros(4, dtype=int), DecisionProfile(offload=np.full(4, 0.5)),
@@ -237,6 +250,77 @@ def test_queue_bank_law_at_every_walk_position(seed, lam, mu, b, dt, z0):
     d = drops[is_copy]
     want = expected_drops_table(lam, mu, b, dt)[0, z0]
     assert abs(d.mean() - want) < 4.0 * d.std(ddof=1) / np.sqrt(copies) + 1e-12
+
+
+@pytest.mark.parametrize("lam, mu", [
+    (1 / 256, 255 / 256),           # p = 1/256: a tie is never an arrival
+    (100 / 256, 156 / 256),         # p = 100/256
+    (255 / 256, 1 / 256),           # p = 255/256, the top threshold
+    (0.5 / 256, 255.5 / 256),       # p = (0 + 1/2)/256: only ties arrive
+    (127.5 / 256, 128.5 / 256),     # p = (127 + 1/2)/256
+    (255.5 / 256, 0.5 / 256),       # p = (255 + 1/2)/256
+    (1 - 2.0**-30, 2.0**-30),       # p just below 1
+    (0.0, 1.0),                     # no arrivals
+    (1.0, 0.0),                     # no service: every tick is an arrival
+])
+def test_queue_bank_law_on_the_tie_path(lam, mu):
+    # 40000 copies of one queue at arrival fractions where a word's byte
+    # ties its threshold, or only a tie can arrive: the arrival frequency
+    # per tick is p within |z| < 4 (exact at p = 0 and 1), and the fills
+    # and drops follow the exact epoch law (TV < 0.01, drop mean |z| < 4)
+    copies, b, dt, z0 = 40_000, 5, 10.0, 2
+    nq, drops, arrivals, services = simulate_queue_bank(
+        np.full(copies, z0), np.full(copies, lam), np.full(copies, mu), b, dt,
+        np.random.default_rng(17))
+    p = lam / (lam + mu)
+    # the tick counts are the call's first draw; the ticks that are neither
+    # arrivals nor services are idle service attempts at an empty queue
+    ticks = np.random.default_rng(17).poisson(np.full(copies, (lam + mu) * dt))
+    assert np.all(ticks - arrivals - services >= 0)
+    a, t = arrivals.sum(), ticks.sum()
+    if p in (0.0, 1.0):
+        assert a == p * t
+    else:
+        assert abs(a - p * t) < 4.0 * np.sqrt(t * p * (1 - p))
+    law = epoch_law_table(lam, mu, b, dt)[0][:, z0]
+    assert 0.5 * np.abs(np.bincount(nq, minlength=b + 1) / copies - law).sum() < 0.01
+    # drops are rare at small p: a count's variance is at least about its mean
+    want = expected_drops_table(lam, mu, b, dt)[0, z0]
+    assert abs(drops.mean() - want) <= 4.0 * np.sqrt(max(drops.var(ddof=1), want) / copies)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.random.Generator(np.random.MT19937(3)),
+    lambda: np.random.RandomState(3),
+    lambda: 3,
+    lambda: None,
+])
+def test_queue_bank_rejects_a_generator_without_64_bit_words(make):
+    # a walk step reads 64 random bits from one raw word of the bit
+    # generator; MT19937's raw words hold 32, and anything but a numpy
+    # Generator has none: each is refused loudly, also as a bank row
+    q, lam = np.zeros(3, dtype=np.int64), np.ones(3)
+    with pytest.raises(ValueError, match="Generator|raw words"):
+        simulate_queue_bank(q, lam, lam, 5, 1.0, make())
+    with pytest.raises(ValueError, match="Generator|raw words"):
+        simulate_queue_bank(np.stack([q, q]), np.stack([lam, lam]), np.stack([lam, lam]),
+                            5, 1.0, [np.random.default_rng(0), make()])
+    with pytest.raises(ValueError, match="sequence of E generators"):
+        simulate_queue_bank(np.stack([q, q]), np.stack([lam, lam]), np.stack([lam, lam]),
+                            5, 1.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bits", [np.random.PCG64DXSM, np.random.Philox, np.random.SFC64])
+def test_queue_bank_law_on_other_64_bit_generators(bits):
+    # the other bit generators with 64-bit raw words drive the same law
+    copies, lam, mu, b, dt, z0 = 40_000, 0.8, 1.0, 4, 2.0, 1
+    nq, drops, arrivals, services = simulate_queue_bank(
+        np.full(copies, z0), np.full(copies, lam), np.full(copies, mu), b, dt,
+        np.random.Generator(bits(5)))
+    law = epoch_law_table(lam, mu, b, dt)[0][:, z0]
+    assert 0.5 * np.abs(np.bincount(nq, minlength=b + 1) / copies - law).sum() < 0.01
+    want = expected_drops_table(lam, mu, b, dt)[0, z0]
+    assert abs(drops.mean() - want) < 4.0 * drops.std(ddof=1) / np.sqrt(copies) + 1e-12
 
 
 def test_engines_agree_in_distribution():
@@ -419,10 +503,14 @@ def test_episode_conserves_packets_per_queue(system):
 
 def bank_oracle(queues, arrival_rates, service_rates, buffer, delta_t, rng):
     """Per-tick reading of the bank's random stream: the tick counts, then
-    for each step s = 0, WALK, ... one (WALK, m) block of uniforms over the
-    m queues with more than s ticks, in the order of descending tick count
-    (ties in input order), row r for tick s + r.  Each tick then masks all
-    n queues."""
+    for each step s = 0, WALK, ... one raw 64-bit word for each of the m
+    queues with more than s ticks, in the order of descending tick count
+    (ties in input order), then one uniform for each byte of those words
+    that equals its queue's threshold t = min(floor(256 p), 255), queue by
+    queue in that order and byte by byte.  Byte r of a word is
+    (word >> 8r) & 255 and decides tick s + r: an arrival iff it is below
+    t, or it equals t and its uniform is below 256 p - t.  Each tick then
+    masks all n queues."""
     q = np.asarray(queues, dtype=np.int64).copy()
     lam = np.asarray(arrival_rates, dtype=np.float64)
     mu = np.asarray(service_rates, dtype=np.float64)
@@ -435,16 +523,24 @@ def bank_oracle(queues, arrival_rates, service_rates, buffer, delta_t, rng):
     kmax = int(counts.max()) if n else 0
     if kmax == 0:
         return q, drops, arrivals, services
-    p_arrive = np.divide(lam, total, out=np.zeros_like(lam), where=total > 0)
+    p = np.divide(lam, total, out=np.zeros_like(lam), where=total > 0)
+    t = np.minimum(np.floor(256 * p), 255)
     order = np.argsort(-counts, kind="stable")
     one = np.int64(1)
     for s0 in range(0, kmax, WALK):
         m = int(np.count_nonzero(counts > s0))
-        u = np.ones((WALK, n))              # a uniform of 1 is never an arrival
-        u[:, order[:m]] = rng.random((WALK, m))
+        words = [int(w) for w in rng.bit_generator.random_raw(m)]
+        up = np.zeros((WALK, n), dtype=bool)
+        for i, word in zip(order[:m], words):
+            for r in range(WALK):
+                byte = word >> (8 * r) & 255
+                if byte == t[i]:
+                    up[r, i] = rng.random() < 256 * p[i] - t[i]
+                else:
+                    up[r, i] = byte < t[i]
         for s in range(s0, s0 + WALK):
             live = counts > s
-            arr = live & (u[s - s0] < p_arrive)
+            arr = live & up[s - s0]
             svc = live & ~arr
             full = q >= buffer
             hit = arr & full
@@ -572,12 +668,13 @@ def test_walk_table_matches_brute_force(buffer):
 
 
 def test_queue_bank_memory_is_bounded_by_the_chunk():
-    # Bound, fixed before measuring: the one (WALK, n) block holds the
-    # float64 uniforms and their comparison, packed in place (9 bytes an
-    # entry, 16 allowed), so 16 * WALK * n bytes; the per-queue vectors
-    # (rates, tick counts, sort order, keys, lookups, tallies, outputs) stay
-    # under 256 * n bytes.  At dt=200 the mean tick count is 380, so one
-    # (kmax, n) float64 draw alone would be ~6 MB.  A bank of E rows is
+    # Bound, fixed before measuring: 16 * WALK * n bytes for the buffers of
+    # one walk step (set for a block of float64 uniforms; a step now holds
+    # one word, the byte thresholds and the arrival and tie flags, 4 bytes
+    # per queue and tick); the per-queue vectors (rates, tick counts, sort
+    # order, keys, lookups, tallies, outputs) stay under 256 * n bytes.
+    # At dt=200 the mean tick count is 380, so one (kmax, n) float64 draw
+    # alone would be ~6 MB.  A bank of E rows is
     # held to the same bound with n replaced by E * n.  The buffer's walk
     # table is a cache shared by every call, so it is built before measuring.
     n, delta_t = 2000, 200.0

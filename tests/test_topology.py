@@ -177,3 +177,17 @@ def test_edge_list_rejects_bad_header(tmp_path):
     path.write_text("nodes 4\n0 1\n")
     with pytest.raises(ValueError):
         load_edge_list(path)
+
+
+def test_candidates_list_each_node_then_its_neighbors():
+    # degrees 0 to 3: the own node first, then the sorted neighbors, and
+    # padding (read as node 0) scored +inf
+    topo = from_edges(6, [(0, 1), (1, 2), (1, 3), (2, 3)])
+    cand, pad = topo.candidates, topo.candidate_padding
+    assert cand.shape == pad.shape == (1 + topo.max_degree, 6)
+    for i in range(6):
+        nb = topo.neighbors[i]
+        assert cand[0, i] == i and tuple(cand[1:1 + len(nb), i]) == nb
+        assert np.all(cand[1 + len(nb):, i] == 0)
+        assert np.all(pad[:1 + len(nb), i] == 0) and np.all(pad[1 + len(nb):, i] == np.inf)
+    assert not cand.flags.writeable and not pad.flags.writeable

@@ -219,7 +219,7 @@ def rollout_oracle(env, policy, seed):
 MIXED = from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 4), (6, 3)])
 
 
-@pytest.mark.parametrize("mode, observe_rate, start, workers, reward", [
+@pytest.mark.parametrize("mode, deep, start, workers, reward", [
     ("global", False, None, 1, "realized"),
     ("global", True, None, 2, "realized"),
     ("neighborhood", False, None, 1, "realized"),
@@ -228,20 +228,19 @@ MIXED = from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 4), (6, 3)])
     ("ownstate", False, (0.5, 0.0, 0.0, 0.0, 0.0, 0.5), 2, "realized"),
     ("global", False, None, 1, "expected"),
 ])
-def test_collect_batch_matches_per_episode_oracle(mode, observe_rate, start, workers,
-                                                  reward):
+def test_collect_batch_matches_per_episode_oracle(mode, deep, start, workers, reward):
     # the bank must reproduce one LoadBalanceEnv episode per seed, bit for
-    # bit; 7 episodes split unevenly over two workers
+    # bit; 7 episodes split unevenly over two workers, through a network of
+    # two hidden layers (deep) or one
     params = SystemParams(start_distribution=start)
     topo = MIXED if mode == "neighborhood" else TOPO
 
     def make_env():
         return LoadBalanceEnv(topo, params, 1.5, 6, observation_mode=mode,
-                              observe_rate=observe_rate, reward_mode=reward)
+                              reward_mode=reward)
     env = make_env()
-    cfg = tiny_cfg(batch_size=40, workers=workers, observation_mode=mode,
-                   observe_rate=observe_rate)
-    policy = PolicyParameters.init(5, (16, 8), np.random.default_rng(4),
+    cfg = tiny_cfg(batch_size=40, workers=workers, observation_mode=mode)
+    policy = PolicyParameters.init(5, (16, 8) if deep else (16,), np.random.default_rng(4),
                                    observation_mode=mode, obs_dim=env.observation_dim)
     batch = collect_batch(env, cfg, policy, seed=31)
     rolls = [rollout_oracle(make_env(), policy, derive_seed(31, "episode", e))
