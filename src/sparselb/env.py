@@ -5,7 +5,8 @@ the queue fills, broadcasts a table of offload probabilities indexed by
 own fill level, every scheduler applies its entry, the network runs for
 delta_t time units, and the reward is the negative number of dropped
 packets per scheduler.  The shared arrival phase is redrawn after every
-epoch.
+epoch.  ``act`` runs that epoch for one episode or for a bank of them;
+``step`` is its checked one-episode form.
 """
 from __future__ import annotations
 
@@ -15,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import expected_drops_table
+from .nn import OBSERVATION_MODES
 from .policies import observations
-from .simulator import DecisionProfile, Episode, SystemParams
+from .simulator import DecisionProfile, Episode, SystemParams, check_count
 
 __all__ = ["McTransition", "LoadBalanceEnv"]
 
@@ -34,21 +36,16 @@ class LoadBalanceEnv(Episode):
                  horizon: int, observation_mode: str = "global",
                  reward_mode: str = "realized"):
         super().__init__(topology, params, delta_t)
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if observation_mode not in ("global", "neighborhood", "ownstate"):
+        check_count("horizon", horizon)
+        if observation_mode not in OBSERVATION_MODES:
             raise ValueError(f"unknown observation_mode {observation_mode!r}")
         if reward_mode not in ("realized", "expected"):
             raise ValueError(f"unknown reward_mode {reward_mode!r}")
-        self.horizon = int(horizon)
+        self.horizon = horizon
         self.observation_mode = observation_mode
         self.reward_mode = reward_mode
 
     # ---- observation ----
-
-    @property
-    def observation_dim(self) -> int:
-        return self.params.buffer + 1
 
     def observation(self) -> np.ndarray:
         """The deployed policy's observation; scheduler 0's row outside
@@ -70,8 +67,8 @@ class LoadBalanceEnv(Episode):
         return self.observation()
 
     def step(self, zeta) -> McTransition:
-        """One epoch of one episode under the offload table ``zeta``; a bank
-        advances through ``advance`` and ``reward`` instead."""
+        """One epoch of one episode under the offload table ``zeta``, checked
+        and clamped into [0, 1]; a bank steps through ``act``."""
         if self.queues is None or self.bank:
             raise RuntimeError("call reset with one seed before step")
         if self.done:
@@ -79,34 +76,30 @@ class LoadBalanceEnv(Episode):
         zeta = np.asarray(zeta, dtype=np.float64)
         if zeta.shape != (self.params.buffer + 1,):
             raise ValueError("action must hold one offload probability per fill level")
-        if np.any(zeta < 0.0) or np.any(zeta > 1.0):
+        if zeta.min() < 0.0 or zeta.max() > 1.0:
             warnings.warn("offload probabilities clamped into [0, 1]")
             zeta = np.clip(zeta, 0.0, 1.0)
-        start = self.queues
-        out = self.advance(DecisionProfile(offload=zeta[start]))
-        return McTransition(self.reward(start, out), self.observation())
+        return McTransition(self.act(zeta), self.observation())
 
-    def reward(self, start: np.ndarray, out) -> float | np.ndarray:
-        """Minus the drops per scheduler of the epoch ``out`` run from the
-        fills ``start``: realized, or their conditional expectation; a bank
-        gets one per row."""
+    def act(self, zeta) -> float | np.ndarray:
+        """Run one epoch in which every scheduler offloads with the entry of
+        ``zeta`` at its own start fill; a bank takes one (B+1,) table per
+        row.  Returns minus the drops per scheduler, realized or their
+        conditional expectation: a float, or one per row of a bank."""
+        start = self.queues
+        out = self.advance(DecisionProfile(
+            offload=np.take_along_axis(zeta, start, axis=-1)))
         if self.reward_mode == "realized":
             drops = out.drops.sum(axis=-1)
-        elif self.bank:
-            drops = np.array([self._expected_epoch_drops(r, q)
-                              for r, q in zip(out.arrival_rates, start)])
         else:
-            drops = self._expected_epoch_drops(out.arrival_rates, start)
+            # the expectation given the start fills and the rates the epoch
+            # ran at: a table row covers every start fill of one (arrival,
+            # service) pair and does not depend on the other rows, so a bank
+            # shares one table.  Complex keys sort by real, then imaginary
+            # part, so the unique pairs come in row order.
+            pairs, inv = np.unique(out.arrival_rates + 1j * self.service_rates,
+                                   return_inverse=True)
+            table = expected_drops_table(pairs.real, pairs.imag, self.params.buffer,
+                                         self.delta_t)
+            drops = table[inv.reshape(start.shape), start].sum(axis=-1)
         return -drops / self.topology.n_nodes
-
-    def _expected_epoch_drops(self, rates: np.ndarray, start: np.ndarray) -> float:
-        # variance-reduced reward: conditional expectation given the
-        # epoch-start fills and the per-queue rates the epoch ran at, from
-        # the per-queue transition kernel; one row of the drop table covers
-        # every start state of a rate pair.  Complex keys sort by real part,
-        # then imaginary part, so the 1-D unique gives the (rate, service
-        # rate) pairs in row order.
-        pairs, inv = np.unique(rates + 1j * self.service_rates, return_inverse=True)
-        table = expected_drops_table(pairs.real, pairs.imag, self.params.buffer,
-                                     self.delta_t)
-        return float(table[inv, start].sum())

@@ -21,7 +21,7 @@ import numpy as np
 from . import topology as topo_mod
 from .policies import make_policy, policy_key
 from .seeding import derive_seed, parallel_map
-from .simulator import SystemParams, run_episode
+from .simulator import SystemParams, check_count, run_episode
 
 __all__ = [
     "ExperimentConfig",
@@ -36,6 +36,12 @@ __all__ = [
     "compare_ranking",
     "bethe_ablation",
 ]
+
+
+def _reject_unknown(what: str, doc, known: set) -> None:
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(map(repr, unknown))}")
 
 
 @dataclass
@@ -59,17 +65,16 @@ class ExperimentConfig:
     def check_run_lengths(self) -> None:
         """Also run by ``evaluate``: fields may be set after construction."""
         for name in ("episodes", "horizon"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            check_count(name, getattr(self, name))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        """Every field is a key; ``topology`` is accepted for one topology."""
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)} - {"topology"})
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(map(repr, unknown))}")
+        """Every field is a key; ``topology`` is accepted for one topology,
+        and ``params`` takes the fields of ``SystemParams``."""
+        _reject_unknown("config", doc, {f.name for f in fields(cls)} | {"topology"})
         doc = dict(doc)
         p = dict(doc.pop("params", {}))
+        _reject_unknown("params", p, {f.name for f in fields(SystemParams)})
         if "service_rate" in p and isinstance(p["service_rate"], list):
             p["service_rate"] = tuple(p["service_rate"])
         if "start_distribution" in p and p["start_distribution"] is not None:

@@ -21,10 +21,13 @@ __all__ = [
     "save_policy_parameters",
     "load_policy_parameters",
     "STD_FLOOR",
+    "OBSERVATION_MODES",
 ]
 
 STD_FLOOR = 0.01           # exploration stddev never decays below this
 CHECKPOINT_VERSION = 1
+# what a policy network may observe; see policies.observations
+OBSERVATION_MODES = ("global", "neighborhood", "ownstate")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -116,6 +119,10 @@ class PolicyParameters:
     observation_mode: str = "global"
     buffer: int = 5
 
+    def __post_init__(self) -> None:
+        if self.observation_mode not in OBSERVATION_MODES:
+            raise ValueError(f"unknown observation_mode {self.observation_mode!r}")
+
     def mlp(self) -> Mlp:
         return Mlp(self.layer_sizes, self.weights)
 
@@ -125,10 +132,9 @@ class PolicyParameters:
 
     @classmethod
     def init(cls, buffer: int, hidden, rng: np.random.Generator,
-             observation_mode: str = "global", obs_dim: int | None = None,
+             observation_mode: str = "global",
              explore_init: float = 0.2) -> "PolicyParameters":
-        dim = buffer + 1 if obs_dim is None else obs_dim
-        sizes = (dim, *hidden, buffer + 1)
+        sizes = (buffer + 1, *hidden, buffer + 1)
         mlp = Mlp.init(sizes, rng)
         log_std = np.full(buffer + 1, np.log(max(explore_init - STD_FLOOR, 1e-6)))
         return cls(sizes, mlp.flat, log_std, observation_mode, buffer)

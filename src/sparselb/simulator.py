@@ -19,6 +19,7 @@ law one event at a time; it is kept beside the tests as their oracle.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,19 @@ __all__ = [
 ]
 
 
+def check_count(name: str, value) -> None:
+    """A buffer or a run length: ValueError unless an integer >= 1."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+
+
+def check_delta_t(delta_t) -> None:
+    """An epoch length: ValueError unless positive and finite (NaN fails
+    the comparison too)."""
+    if not 0.0 < delta_t < math.inf:
+        raise ValueError("delta_t must be positive and finite")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical parameters shared by simulator, environment and harness."""
@@ -52,8 +66,7 @@ class SystemParams:
     start_distribution: tuple | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.buffer, (int, np.integer)) or self.buffer < 1:
-            raise ValueError(f"buffer must be an integer >= 1, not {self.buffer!r}")
+        check_count("buffer", self.buffer)
         if not (0.0 <= self.rate_low <= self.rate_high):
             raise ValueError("need 0 <= rate_low <= rate_high")
         for p in (self.p_high_to_low, self.p_low_to_high):
@@ -356,8 +369,7 @@ def run_epoch(queues, profile, topology, base_rate: float, service_rates,
     """Advance the whole network by one epoch under a frozen profile; a bank
     of E networks takes (E, n) queues and offloads, E base rates and E
     generators, as ``simulate_queue_bank`` does."""
-    if delta_t <= 0.0:
-        raise ValueError("delta_t must be positive")
+    check_delta_t(delta_t)
     if profile.targets is not None:
         t, n = np.asarray(profile.targets), topology.n_nodes
         if t.shape != (n,) or not np.issubdtype(t.dtype, np.integer) \
@@ -393,8 +405,7 @@ class Episode:
     """
 
     def __init__(self, topology, params: SystemParams, delta_t: float):
-        if delta_t <= 0:
-            raise ValueError("delta_t must be positive")
+        check_delta_t(delta_t)
         self.topology = topology
         self.params = params
         self.delta_t = float(delta_t)
@@ -458,6 +469,7 @@ def run_episode(topology, policy, horizon: int, delta_t: float,
     ``policy`` supplies a frozen DecisionProfile from the queue snapshot at
     the start of every epoch.  A table policy must match ``params.buffer``.
     """
+    check_count("horizon", horizon)
     held = getattr(policy, "buffer", params.buffer)
     if held != params.buffer:
         raise ValueError(f"policy is built for buffer {held}, the system has "

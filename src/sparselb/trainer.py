@@ -20,7 +20,7 @@ import numpy as np
 from .env import LoadBalanceEnv
 from .nn import STD_FLOOR, Mlp, PolicyParameters, save_policy_parameters, sigmoid
 from .seeding import derive_seed, parallel_map
-from .simulator import DecisionProfile, SystemParams
+from .simulator import SystemParams
 
 __all__ = [
     "TrainerConfig",
@@ -121,14 +121,11 @@ def _explore_bank(env: LoadBalanceEnv, policy: PolicyParameters, seeds: list):
     obs_all = np.empty((n_ep, horizon, obs.shape[-1]))
     act_all, mu_all = np.empty((2, n_ep, horizon, sigma.size))
     rewards = np.empty((n_ep, horizon))
-    rows = np.arange(n_ep)[:, None]
     for t in range(horizon):
         mu = sigmoid(net.forward(obs[:, None])[0][:, 0])
         raw = mu + sigma * np.array([g.standard_normal(mu.shape[1]) for g in noise])
-        start = env.queues
-        out = env.advance(DecisionProfile(offload=np.clip(raw, 0.0, 1.0)[rows, start]))
         obs_all[:, t], act_all[:, t], mu_all[:, t] = obs, raw, mu
-        rewards[:, t] = env.reward(start, out)
+        rewards[:, t] = env.act(np.clip(raw, 0.0, 1.0))
         obs = env.observation()
     return obs_all, act_all, mu_all, rewards
 
@@ -393,7 +390,6 @@ def train(topology, params: SystemParams, delta_t: float, horizon: int,
     env = _make_env(topology, params, delta_t, horizon, cfg)
     policy = PolicyParameters.init(params.buffer, cfg.hidden, rng,
                                    observation_mode=cfg.observation_mode,
-                                   obs_dim=env.observation_dim,
                                    explore_init=cfg.explore_init)
     state = init_train_state(policy, cfg, rng)
     update_rng = np.random.default_rng(derive_seed(seed, "update"))
@@ -430,8 +426,7 @@ def cem_train(topology, params: SystemParams, delta_t: float, horizon: int,
     rng = np.random.default_rng(derive_seed(seed, "cem"))
     env = _make_env(topology, params, delta_t, horizon, cfg)
     template = PolicyParameters.init(params.buffer, cfg.hidden, rng,
-                                     observation_mode=cfg.observation_mode,
-                                     obs_dim=env.observation_dim)
+                                     observation_mode=cfg.observation_mode)
     eval_seeds = [derive_seed(seed, "cemeval", k) for k in range(cfg.eval_episodes)]
 
     def score(flat: np.ndarray) -> float:

@@ -7,7 +7,7 @@ from sparselb.env import LoadBalanceEnv
 from sparselb.nn import PolicyParameters
 from sparselb.policies import MfrPolicy, StaticZetaPolicy, observations, threshold_zeta
 from sparselb.simulator import SystemParams, run_episode
-from sparselb.topology import build_cyc1d, from_edges
+from sparselb.topology import build_config_model, build_cyc1d, from_edges
 
 
 def make_env(**kw):
@@ -22,7 +22,6 @@ def test_reset_returns_empty_distribution():
     obs = env.reset(seed=0)
     assert obs.shape == (6,)
     assert np.array_equal(obs, np.array([1.0, 0, 0, 0, 0, 0]))
-    assert env.observation_dim == 6
 
 
 def test_step_shapes_and_reward_sign():
@@ -65,6 +64,21 @@ def test_bank_reset_observes_each_row_and_refuses_step():
         env.step(threshold_zeta(5))
     env.reset(3)
     assert not env.bank and env.step(threshold_zeta(5)).next_observation.shape == (6,)
+
+
+@pytest.mark.parametrize("kw, match", [
+    (dict(delta_t=float("nan")), "delta_t must be positive and finite"),
+    (dict(delta_t=float("inf")), "delta_t must be positive and finite"),
+    (dict(horizon=2.5), "horizon must be an integer >= 1"),
+    (dict(horizon=0), "horizon must be an integer >= 1"),
+    (dict(horizon="3"), "horizon must be an integer >= 1"),
+    (dict(observation_mode="foo"), "unknown observation_mode 'foo'"),
+])
+def test_env_rejects_bad_settings(kw, match):
+    # horizon=2.5 used to run 2 epochs, and delta_t=nan to construct
+    with pytest.raises(ValueError, match=match):
+        make_env(**kw)
+    assert make_env(horizon=np.int64(3)).horizon == 3
 
 
 def test_step_rejects_bad_shape():
@@ -211,3 +225,36 @@ def test_expected_step_computes_rates_once(monkeypatch):
     for steps in range(1, 4):
         env.step(np.linspace(0.1, 0.9, 6))
         assert len(calls) == steps
+
+
+@pytest.mark.parametrize("mode", ["global", "neighborhood", "ownstate"])
+@pytest.mark.parametrize("reward", ["realized", "expected"])
+def test_act_on_a_bank_matches_one_episode_envs(mode, reward):
+    # a bank of E rows, each with its own table every epoch, gives bit for
+    # bit what E one-episode envs give with the same seeds: rewards,
+    # observations, queues and the generators' end states
+    topo = build_config_model(30, [1, 2, 3, 4], 5)
+    mu = tuple(np.random.default_rng(2).choice([0.7, 1.0, 1.3], 30))
+    params = SystemParams(service_rate=mu,
+                          start_distribution=(0.3, 0.2, 0.1, 0.1, 0.1, 0.2))
+    seeds = [3, 17, 40, 41]
+
+    def make():
+        return LoadBalanceEnv(topo, params, 3.0, 5, observation_mode=mode,
+                              reward_mode=reward)
+    bank = make()
+    obs = bank.reset(seeds)
+    singles = [make() for _ in seeds]
+    assert np.array_equal(obs, np.stack([e.reset(s) for e, s in zip(singles, seeds)]))
+    zetas = np.random.default_rng(8).random((bank.horizon, len(seeds), 6))
+    for zeta in zetas:
+        rewards = bank.act(zeta)
+        assert rewards.shape == (len(seeds),)
+        steps = [e.step(z) for e, z in zip(singles, zeta)]
+        assert np.array_equal(rewards, [tr.reward for tr in steps])
+        assert np.array_equal(bank.observation(),
+                              np.stack([tr.next_observation for tr in steps]))
+        assert np.array_equal(bank.queues, np.stack([e.queues for e in singles]))
+    assert bank.epoch == bank.horizon and all(e.done for e in singles)
+    assert [g.bit_generator.state for g in bank.rng] == \
+        [e.rng.bit_generator.state for e in singles]

@@ -271,6 +271,26 @@ def test_config_rejects_run_lengths_below_one(name):
     assert getattr(ExperimentConfig.from_dict({name: 1}), name) == 1
 
 
+@pytest.mark.parametrize("name", ["episodes", "horizon"])
+def test_config_rejects_fractional_run_lengths(name):
+    # horizon=2.5 used to be accepted and then fail in evaluate with a TypeError
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+        ExperimentConfig.from_dict({name: 2.5})
+    cfg = ExperimentConfig()
+    setattr(cfg, name, 2.5)
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+        evaluate(build_cyc1d(9), "own", 1.0, cfg)
+
+
+def test_config_names_a_misspelt_params_key():
+    # it used to raise a bare TypeError from SystemParams
+    with pytest.raises(ValueError, match="unknown params keys: 'bufer'"):
+        ExperimentConfig.from_dict({"params": {"bufer": 5}})
+    with pytest.raises(ValueError, match="'rate_hi', 'servce_rate'"):
+        ExperimentConfig.from_dict({"params": {"buffer": 5, "servce_rate": 1.0,
+                                               "rate_hi": 0.9}})
+
+
 def test_evaluate_rejects_run_lengths_set_after_construction():
     # assignment skips __post_init__; this used to give a NaN mean_drops
     cfg = ExperimentConfig()

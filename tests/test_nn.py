@@ -112,7 +112,7 @@ def test_policy_zeta_in_unit_interval():
 def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     params = PolicyParameters.init(buffer=5, hidden=(8, 4), rng=rng,
-                                   observation_mode="ownstate", obs_dim=6)
+                                   observation_mode="ownstate")
     path = tmp_path / "p.json"
     save_policy_parameters(params, path)
     back = load_policy_parameters(path)
@@ -134,6 +134,24 @@ def test_load_rejects_unknown_version(tmp_path):
     path.write_text(json.dumps(blob))
     with pytest.raises(ValueError):
         load_policy_parameters(path)
+
+
+def test_load_rejects_unknown_observation_mode(tmp_path):
+    # such a checkpoint used to load and build a policy that failed only at
+    # its first epoch
+    import json
+    from sparselb.policies import make_policy
+    path = tmp_path / "p.json"
+    save_policy_parameters(PolicyParameters.init(5, (4,), np.random.default_rng(4)), path)
+    blob = json.loads(path.read_text())
+    blob["observation_mode"] = "foo"
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ValueError, match="unknown observation_mode 'foo'"):
+        load_policy_parameters(path)
+    with pytest.raises(ValueError, match="unknown observation_mode 'foo'"):
+        make_policy({"kind": "mfr", "checkpoint": str(path)}, 5)
+    with pytest.raises(ValueError, match="unknown observation_mode 'foo'"):
+        PolicyParameters.init(5, (4,), np.random.default_rng(4), observation_mode="foo")
 
 
 def test_save_is_deterministic(tmp_path):

@@ -168,7 +168,7 @@ def test_mfr_ownstate_observations_are_one_hot():
     topo = build_cyc1d(4)
     rng = np.random.default_rng(3)
     params = PolicyParameters.init(buffer=5, hidden=(8,), rng=rng,
-                                   observation_mode="ownstate", obs_dim=6)
+                                   observation_mode="ownstate")
     pol = MfrPolicy(params)
     queues = np.array([0, 5, 2, 2])
     obs = observations(queues, topo, 5, "ownstate")
@@ -184,7 +184,7 @@ def test_mfr_neighborhood_observations():
     topo = build_cyc1d(5)
     rng = np.random.default_rng(4)
     params = PolicyParameters.init(buffer=5, hidden=(8,), rng=rng,
-                                   observation_mode="neighborhood", obs_dim=6)
+                                   observation_mode="neighborhood")
     pol = MfrPolicy(params)
     queues = np.array([0, 3, 3, 1, 0])
     obs = observations(queues, topo, 5, "neighborhood")
@@ -200,7 +200,8 @@ def test_mfr_rejects_rate_observing_network(tmp_path):
     # a network that also read the arrival rate (earlier versions could
     # train one) takes one input more than the fill distribution MfrPolicy
     # builds; it must fail on load, not mid-sweep
-    params = PolicyParameters.init(5, (4,), np.random.default_rng(9), obs_dim=7)
+    sizes = (7, 4, 6)
+    params = PolicyParameters(sizes, np.zeros(n_params(sizes)), np.zeros(6))
     with pytest.raises(ValueError, match="takes 7 inputs"):
         MfrPolicy(params)
     path = tmp_path / "ckpt.json"

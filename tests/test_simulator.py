@@ -147,6 +147,26 @@ def test_run_epoch_rejects_bad_delta_t():
                   topo, 0.9, np.ones(3), 5, 0.0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("delta_t", [0.0, -1.0, float("nan"), float("inf")])
+def test_epoch_length_must_be_positive_and_finite(delta_t):
+    # NaN used to pass the check and fail inside numpy's Poisson sampler
+    topo = build_cyc1d(3)
+    with pytest.raises(ValueError, match="delta_t must be positive and finite"):
+        Episode(topo, SystemParams(), delta_t)
+    with pytest.raises(ValueError, match="delta_t must be positive and finite"):
+        run_epoch(np.zeros(3, dtype=int), DecisionProfile(offload=np.zeros(3)),
+                  topo, 0.9, np.ones(3), 5, delta_t, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="delta_t must be positive and finite"):
+        run_episode(topo, OwnPolicy(), 2, delta_t, SystemParams(), seed=0)
+
+
+@pytest.mark.parametrize("horizon", [0, -1, 2.5])
+def test_run_episode_rejects_a_bad_horizon(horizon):
+    # horizon 0 used to return zero drops, and 2.5 to fail inside numpy
+    with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
+        run_episode(build_cyc1d(3), OwnPolicy(), horizon, 1.0, SystemParams(), seed=0)
+
+
 def test_run_epoch_rejects_bad_targets():
     topo = build_cyc1d(4)
     good = np.array([1, 0, 3, 3])

@@ -241,7 +241,7 @@ def test_collect_batch_matches_per_episode_oracle(mode, deep, start, workers, re
     env = make_env()
     cfg = tiny_cfg(batch_size=40, workers=workers, observation_mode=mode)
     policy = PolicyParameters.init(5, (16, 8) if deep else (16,), np.random.default_rng(4),
-                                   observation_mode=mode, obs_dim=env.observation_dim)
+                                   observation_mode=mode)
     batch = collect_batch(env, cfg, policy, seed=31)
     rolls = [rollout_oracle(make_env(), policy, derive_seed(31, "episode", e))
              for e in range(7)]
