@@ -87,8 +87,8 @@ class LoadBalanceEnv(Episode):
         row.  Returns minus the drops per scheduler, realized or their
         conditional expectation: a float, or one per row of a bank."""
         start = self.queues
-        out = self.advance(DecisionProfile(
-            offload=np.take_along_axis(zeta, start, axis=-1)))
+        offload = zeta[start] if zeta.ndim == 1 else np.take_along_axis(zeta, start, axis=-1)
+        out = self.advance(DecisionProfile(offload=offload))
         if self.reward_mode == "realized":
             drops = out.drops.sum(axis=-1)
         else:

@@ -69,18 +69,14 @@ def effective_rates(topology, offload, base_rate) -> np.ndarray:
     a = np.where(deg > 0, a, 0.0)
     share = np.divide(a, deg, out=np.zeros_like(a), where=deg > 0)
 
-    pad = topology.padded_neighbors
-    if pad.shape[1] == 0:
-        inflow = np.zeros_like(a)
-    else:
-        # padded cells read the last share and are zeroed by the mask
-        cols = np.where(topology.padded_mask, share.take(pad, axis=-1), 0.0)
-        while cols.shape[-1] > 1:
-            if cols.shape[-1] % 2:
-                cols = np.concatenate([cols, np.zeros(cols.shape[:-1] + (1,))], axis=-1)
-            cols = cols[..., 0::2] + cols[..., 1::2]
-        inflow = cols[..., 0]
-    return base_rate * ((1.0 - a) + inflow)
+    # a padded slot repeats the node's own share; the mask zeroes it
+    cols = np.where(topology.padded_mask, share.take(topology.padded_neighbors, axis=-1),
+                    0.0)
+    while cols.shape[-1] > 1:
+        if cols.shape[-1] % 2:
+            cols = np.concatenate([cols, np.zeros(cols.shape[:-1] + (1,))], axis=-1)
+        cols = cols[..., 0::2] + cols[..., 1::2]
+    return base_rate * ((1.0 - a) + cols[..., 0])
 
 
 def _augmented_generators(arrival_rates, service_rates, buffer: int,

@@ -45,21 +45,20 @@ def _node_fills(queues, topology, buffer: int | None, *rates) -> tuple:
 
 
 class _ArgminPolicy:
-    """Shared machinery for jsq/sed: each node routes to its first candidate
-    (``Topology.candidates``) of lowest score."""
+    """Shared machinery for jsq/sed: each node routes to the first node of
+    lowest score among itself and its ``Topology.padded_neighbors`` row."""
 
     def _scores(self, queues, service_rates) -> np.ndarray:
         raise NotImplementedError
 
     def profile(self, queues, topology, service_rates) -> DecisionProfile:
         scores = self._scores(*_node_fills(queues, topology, None, service_rates))
-        vals = scores.take(topology.candidates)
-        vals += topology.candidate_padding
+        table = topology.padded_neighbors.T
         # scan own first, then neighbors in index order; only a strictly
-        # lower score moves the target, so the first minimal one wins
-        own, *others = topology.candidates
-        targets, low = own.copy(), vals[0]
-        for node, score in zip(others, vals[1:]):
+        # lower score moves the target, so the first minimal one wins and a
+        # padded slot, which repeats the node's own score, never does
+        targets, low = np.arange(topology.n_nodes, dtype=np.int64), scores.copy()
+        for node, score in zip(table, scores.take(table)):
             np.copyto(targets, node, where=score < low)
             np.minimum(low, score, out=low)
         return DecisionProfile(targets=targets)

@@ -41,8 +41,9 @@ __all__ = [
 
 
 def check_count(name: str, value) -> None:
-    """A buffer or a run length: ValueError unless an integer >= 1."""
-    if not isinstance(value, (int, np.integer)) or value < 1:
+    """A buffer, a run length or a batch size: ValueError unless an integer
+    >= 1 (``True`` is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
 
 

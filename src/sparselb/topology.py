@@ -58,9 +58,10 @@ class Topology:
 
     @cached_property
     def padded_neighbors(self) -> np.ndarray:
-        """(n, max_degree) neighbor index matrix, -1 where a row runs out."""
-        dmax = self.max_degree
-        pad = np.full((self.n_nodes, dmax), -1, dtype=np.int64)
+        """(n, max(max_degree, 1)) neighbor table: row i lists i's neighbors
+        in index order, then repeats i to the full width."""
+        pad = np.repeat(np.arange(self.n_nodes, dtype=np.int64)[:, None],
+                        max(self.max_degree, 1), axis=1)
         for i, nb in enumerate(self.neighbors):
             pad[i, : len(nb)] = nb
         pad.setflags(write=False)
@@ -68,27 +69,10 @@ class Topology:
 
     @cached_property
     def padded_mask(self) -> np.ndarray:
-        mask = self.padded_neighbors >= 0
+        """True where a slot of ``padded_neighbors`` holds a neighbor."""
+        mask = np.arange(self.padded_neighbors.shape[1]) < self.degrees[:, None]
         mask.setflags(write=False)
         return mask
-
-    @cached_property
-    def candidates(self) -> np.ndarray:
-        """(1 + max_degree, n) nodes an argmin rule chooses from, one column
-        per node: the node itself, then its padded neighbors with padding
-        read as node 0."""
-        own = np.arange(self.n_nodes, dtype=np.int64)
-        cand = np.vstack([own, np.where(self.padded_mask, self.padded_neighbors, 0).T])
-        cand.setflags(write=False)
-        return cand
-
-    @cached_property
-    def candidate_padding(self) -> np.ndarray:
-        """Added to scores read at ``candidates``: +inf on padding, else 0."""
-        pad = np.zeros(self.candidates.shape)
-        pad[1:][~self.padded_mask.T] = np.inf
-        pad.setflags(write=False)
-        return pad
 
     # ---- queries ----
 
@@ -114,22 +98,6 @@ class Topology:
                     seen[j] = True
                     stack.append(j)
         return bool(seen.all())
-
-    def validate(self) -> None:
-        """Full-scan structural checks; raises ValueError on violation."""
-        for i, nb in enumerate(self.neighbors):
-            arr = np.asarray(nb, dtype=np.int64)
-            if arr.size and (arr.min() < 0 or arr.max() >= self.n_nodes):
-                raise ValueError(f"node {i}: neighbor index out of range")
-            if np.any(arr == i):
-                raise ValueError(f"node {i}: self-loop")
-            if arr.size != np.unique(arr).size:
-                raise ValueError(f"node {i}: duplicate neighbor")
-            if np.any(np.diff(arr) < 0):
-                raise ValueError(f"node {i}: neighbor list not sorted")
-            for j in arr:
-                if i not in self.neighbors[j]:
-                    raise ValueError(f"edge ({i},{j}) not symmetric")
 
     def degree_histogram(self) -> dict[int, int]:
         vals, counts = np.unique(self.degrees, return_counts=True)

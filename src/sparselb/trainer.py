@@ -20,7 +20,7 @@ import numpy as np
 from .env import LoadBalanceEnv
 from .nn import STD_FLOOR, Mlp, PolicyParameters, save_policy_parameters, sigmoid
 from .seeding import derive_seed, parallel_map
-from .simulator import SystemParams
+from .simulator import SystemParams, check_count
 
 __all__ = [
     "TrainerConfig",
@@ -54,12 +54,10 @@ class TrainerConfig:
     observation_mode: str = "global"
 
     def __post_init__(self) -> None:
-        if self.minibatch_size < 1 or self.minibatch_size > self.batch_size:
+        for name in ("batch_size", "minibatch_size", "sgd_iters", "epochs", "eval_episodes"):
+            check_count(name, getattr(self, name))
+        if self.minibatch_size > self.batch_size:
             raise ValueError("minibatch_size must lie in [1, batch_size]")
-        if self.sgd_iters < 1:
-            raise ValueError("sgd_iters must be >= 1")
-        if self.eval_episodes < 1:
-            raise ValueError("eval_episodes must be >= 1")
 
 
 @dataclass
@@ -75,12 +73,12 @@ class CemConfig:
     observation_mode: str = "global"
 
     def __post_init__(self) -> None:
+        for name in ("population", "iterations", "eval_episodes"):
+            check_count(name, getattr(self, name))
         if self.population < 4:
             raise ValueError("population must be >= 4")
         if not (0.0 < self.elite_frac <= 1.0):
             raise ValueError("elite_frac must lie in (0, 1]")
-        if self.eval_episodes < 1:
-            raise ValueError("eval_episodes must be >= 1")
 
 
 @dataclass

@@ -265,7 +265,7 @@ def test_readme_config_schema_is_the_dataclass():
 def test_config_rejects_run_lengths_below_one(name):
     # episodes=0 used to write a NaN mean_drops, horizon=0 to report 0.0
     # drops and horizon=-1 to fail inside numpy
-    for count in (0, -1):
+    for count in (0, -1, True):
         with pytest.raises(ValueError, match=name):
             ExperimentConfig.from_dict({name: count})
     assert getattr(ExperimentConfig.from_dict({name: 1}), name) == 1

@@ -12,7 +12,8 @@ from sparselb.policies import (JsqPolicy, MfrPolicy, OwnPolicy, RndPolicy,
                                observations, threshold_zeta)
 from sparselb.simulator import empirical_distribution, profile_rates, run_episode
 from sparselb.simulator import SystemParams
-from sparselb.topology import build_ccc, build_cyc1d, build_torus
+from sparselb.topology import (build_bethe, build_ccc, build_config_model, build_cyc1d,
+                               build_torus, from_edges)
 
 
 # Per-agent oracles for the vectorized argmin policies: scan the agent's
@@ -75,8 +76,12 @@ def test_rnd_and_own_rules():
     (SedPolicy, sed_rule),
 ])
 def test_vectorized_profile_matches_per_agent_rules(policy_cls, rule_fn):
+    # the irregular graphs scan padded slots: bethe leaves, cm degrees 1-5
+    # and two isolated nodes
     rng = np.random.default_rng(5)
-    for topo in (build_cyc1d(9), build_ccc(3), build_torus(4)):
+    for topo in (build_cyc1d(9), build_ccc(3), build_torus(4), build_bethe(3, 3),
+                 build_config_model(40, range(1, 6), seed=2),
+                 from_edges(6, [(0, 1), (1, 2), (1, 3), (2, 3)])):
         mu = rng.uniform(0.5, 2.0, size=topo.n_nodes)
         for _ in range(20):
             queues = rng.integers(0, 6, size=topo.n_nodes)

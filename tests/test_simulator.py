@@ -46,7 +46,7 @@ def test_system_params_validation():
         SystemParams(buffer=0)
     # a float buffer (say 5.0 from a JSON config) used to pass here and
     # fail in the first episode's bincount
-    for bad in (5.0, 2.5, "5"):
+    for bad in (5.0, 2.5, "5", True):
         with pytest.raises(ValueError, match="buffer"):
             SystemParams(buffer=bad)
     assert SystemParams(buffer=np.int64(5)).buffer == 5
@@ -160,7 +160,7 @@ def test_epoch_length_must_be_positive_and_finite(delta_t):
         run_episode(topo, OwnPolicy(), 2, delta_t, SystemParams(), seed=0)
 
 
-@pytest.mark.parametrize("horizon", [0, -1, 2.5])
+@pytest.mark.parametrize("horizon", [0, -1, 2.5, True])
 def test_run_episode_rejects_a_bad_horizon(horizon):
     # horizon 0 used to return zero drops, and 2.5 to fail inside numpy
     with pytest.raises(ValueError, match="horizon must be an integer >= 1"):

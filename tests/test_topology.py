@@ -9,13 +9,31 @@ from sparselb.topology import (Topology, bethe_size, build_bethe,
                                save_edge_list)
 
 
+def validate(topo):
+    """The builders' structural oracle: in-range, sorted, duplicate-free,
+    loop-free and symmetric neighbor lists; raises ValueError otherwise."""
+    for i, nb in enumerate(topo.neighbors):
+        arr = np.asarray(nb, dtype=np.int64)
+        if arr.size and (arr.min() < 0 or arr.max() >= topo.n_nodes):
+            raise ValueError(f"node {i}: neighbor index out of range")
+        if np.any(arr == i):
+            raise ValueError(f"node {i}: self-loop")
+        if arr.size != np.unique(arr).size:
+            raise ValueError(f"node {i}: duplicate neighbor")
+        if np.any(np.diff(arr) < 0):
+            raise ValueError(f"node {i}: neighbor list not sorted")
+        for j in arr:
+            if i not in topo.neighbors[j]:
+                raise ValueError(f"edge ({i},{j}) not symmetric")
+
+
 def test_cyc1d_structure():
     topo = build_cyc1d(9)
     assert topo.n_nodes == 9
     assert np.all(topo.degrees == 2)
     assert topo.neighbors[0] == (1, 8)
     assert topo.is_connected()
-    topo.validate()
+    validate(topo)
 
 
 def test_cyc1d_rejects_small():
@@ -29,7 +47,7 @@ def test_ccc_node_count(order, n):
     assert topo.n_nodes == n
     assert np.all(topo.degrees == 3)
     assert topo.is_connected()
-    topo.validate()
+    validate(topo)
 
 
 def test_ccc_adjacency_spot_check():
@@ -48,7 +66,7 @@ def test_torus_structure():
     assert topo.n_nodes == 121
     assert np.all(topo.degrees == 4)
     assert topo.is_connected()
-    topo.validate()
+    validate(topo)
     small = build_torus(3)
     assert small.n_nodes == 9
     assert np.all(small.degrees == 4)
@@ -71,7 +89,7 @@ def test_bethe_structure():
     assert tree.max_degree == 3
     # leaves sit exactly at the last level
     assert int((tree.degrees == 1).sum()) == 3 * 2 ** 4
-    tree.validate()
+    validate(tree)
 
 
 def test_bethe_rejects_bad_args():
@@ -87,7 +105,7 @@ def test_config_model_basic():
     assert topo.is_connected()
     assert topo.max_degree <= 3
     assert topo.degrees.min() >= 1
-    topo.validate()
+    validate(topo)
 
 
 def test_config_model_deterministic():
@@ -136,7 +154,7 @@ def test_from_edges_validation():
 def test_validate_catches_asymmetry():
     broken = Topology(3, ((1,), (), ()))
     with pytest.raises(ValueError):
-        broken.validate()
+        validate(broken)
 
 
 def test_is_connected_false():
@@ -150,13 +168,19 @@ def test_degree_histogram():
 
 
 def test_padded_neighbors_shape():
-    topo = build_bethe(2, 3)
-    pad = topo.padded_neighbors
-    assert pad.shape == (topo.n_nodes, 3)
-    assert np.array_equal(pad[0], np.array([1, 2, 3]))
-    # leaf rows carry padding
-    leaf = topo.n_nodes - 1
-    assert (pad[leaf] >= 0).sum() == 1
+    # degrees 0 to 3: each row lists the sorted neighbors, then repeats the
+    # node itself; the mask marks the first degree slots of a row
+    topo = from_edges(6, [(0, 1), (1, 2), (1, 3), (2, 3)])
+    pad, mask = topo.padded_neighbors, topo.padded_mask
+    assert pad.shape == mask.shape == (6, 3) and pad.dtype == np.int64
+    for i in range(6):
+        nb = topo.neighbors[i]
+        assert tuple(pad[i, :len(nb)]) == nb and np.all(pad[i, len(nb):] == i)
+    assert np.array_equal(mask, np.arange(3) < topo.degrees[:, None])
+    assert not pad.flags.writeable and not mask.flags.writeable
+    tree = build_bethe(2, 3)
+    assert tree.padded_neighbors.shape == (tree.n_nodes, 3)
+    assert np.array_equal(tree.padded_neighbors[0], [1, 2, 3])
 
 
 def test_edge_list_round_trip(tmp_path):
@@ -179,15 +203,7 @@ def test_edge_list_rejects_bad_header(tmp_path):
         load_edge_list(path)
 
 
-def test_candidates_list_each_node_then_its_neighbors():
-    # degrees 0 to 3: the own node first, then the sorted neighbors, and
-    # padding (read as node 0) scored +inf
-    topo = from_edges(6, [(0, 1), (1, 2), (1, 3), (2, 3)])
-    cand, pad = topo.candidates, topo.candidate_padding
-    assert cand.shape == pad.shape == (1 + topo.max_degree, 6)
-    for i in range(6):
-        nb = topo.neighbors[i]
-        assert cand[0, i] == i and tuple(cand[1:1 + len(nb), i]) == nb
-        assert np.all(cand[1 + len(nb):, i] == 0)
-        assert np.all(pad[:1 + len(nb), i] == 0) and np.all(pad[1 + len(nb):, i] == np.inf)
-    assert not cand.flags.writeable and not pad.flags.writeable
+def test_padded_table_of_an_edgeless_graph_has_one_masked_column():
+    topo = from_edges(3, [])
+    assert np.array_equal(topo.padded_neighbors, [[0], [1], [2]])
+    assert topo.padded_mask.shape == (3, 1) and not topo.padded_mask.any()

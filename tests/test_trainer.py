@@ -54,6 +54,21 @@ def test_config_rejects_no_eval_episodes(config):
     assert config(eval_episodes=1).eval_episodes == 1
 
 
+@pytest.mark.parametrize("config, name", [
+    (TrainerConfig, "batch_size"), (TrainerConfig, "minibatch_size"),
+    (TrainerConfig, "sgd_iters"), (TrainerConfig, "epochs"),
+    (TrainerConfig, "eval_episodes"), (CemConfig, "population"),
+    (CemConfig, "iterations"), (CemConfig, "eval_episodes"),
+])
+def test_config_counts_must_be_integers(config, name):
+    # epochs=2.5 and iterations=2.5 used to construct and fail inside range
+    for bad in (2.5, 4.0, "4", True):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            config(**{name: bad})
+    count = np.int64(getattr(config(), name))
+    assert getattr(config(**{name: count}), name) == count
+
+
 def _manual_batch(obs, rewards):
     m = obs.shape[0]
     return RolloutBatch(obs, np.zeros((m, 1)), np.zeros((m, 1)), np.ones(1),
