@@ -72,8 +72,8 @@ def test_bank_reset_observes_each_row_and_refuses_step():
     (dict(horizon=2.5), "horizon must be an integer >= 1"),
     (dict(horizon=0), "horizon must be an integer >= 1"),
     (dict(horizon="3"), "horizon must be an integer >= 1"),
-    (dict(horizon=True), "horizon must be an integer >= 1"),
     (dict(observation_mode="foo"), "unknown observation_mode 'foo'"),
+    (dict(horizon=True), "horizon must be an integer >= 1"),
 ])
 def test_env_rejects_bad_settings(kw, match):
     # horizon=2.5 used to run 2 epochs, and delta_t=nan to construct
